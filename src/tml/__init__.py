@@ -2,7 +2,7 @@
 
 from .errors import (TmlError, FieldMismatch, ShapeMismatch, ZeroDivisor,
                      NotNilpotent, NonInvertibleLeading, SingularSystem,
-                     ParseError)
+                     ParseError, BadParameter, CertificateError)
 from .fields import (FiniteField, Poly, RatFunc, FieldTower, TowerElement,
                      frobenius, pth_root, substitute, ratfunc_substitute)
 from .linalg import Mat, gauss_solve, gauss_inverse, gauss_det, kernel_basis

@@ -49,3 +49,11 @@ class ParseError(TmlError):
         super().__init__(message + loc)
         self.line = line
         self.col = col
+
+
+class BadParameter(TmlError, ValueError):
+    """A numeric parameter is out of range, such as a negative bound."""
+
+
+class CertificateError(TmlError):
+    """A certificate failed its independent re-check."""

@@ -273,8 +273,20 @@ def _as_int(val: _Val, what):
 
 def _json_sections(data):
     """Normalize the JSON document shape onto the INI section list."""
-    if not isinstance(data, dict):
-        raise ParseError("top-level JSON value must be an object")
+
+    def obj(x, what):
+        if not isinstance(x, dict):
+            raise ParseError(f"{what} must be an object")
+        return x
+
+    def section(key, default):
+        x = data.get(key, default)
+        if not isinstance(x, type(default)):
+            kind = "an object" if isinstance(default, dict) else "a list"
+            raise ParseError(f"JSON section {key!r} must be {kind}")
+        return x
+
+    obj(data, "top-level JSON value")
     sections = []
 
     def val(x, what):
@@ -286,26 +298,34 @@ def _json_sections(data):
 
     field = data.get("field")
     if field is not None:
-        body = {k: [val(v, f"field.{k}")] for k, v in field.items()}
+        body = {k: [val(v, f"field.{k}")]
+                for k, v in obj(field, "field").items()}
         sections.append(("field", None, body, None))
-    for name, coeffs in data.get("tower", []):
+    for step in section("tower", []):
+        if not isinstance(step, list) or len(step) != 2:
+            raise ParseError("tower step must be a [name, coefficients] pair")
+        name, coeffs = step
         sections.append(("tower", None, {str(name): [val(coeffs, "tower")]},
                          None))
-    for name, entry in data.get("modules", {}).items():
-        body = {k: [val(v, f"module {name}.{k}")] for k, v in entry.items()}
+    for name, entry in section("modules", {}).items():
+        body = {k: [val(v, f"module {name}.{k}")]
+                for k, v in obj(entry, f"module {name}").items()}
         sections.append(("module", name, body, None))
-    for name, entry in data.get("subgroups", {}).items():
+    for name, entry in section("subgroups", {}).items():
         body = {}
-        for k, v in entry.items():
+        for k, v in obj(entry, f"subgroup {name}").items():
             if k == "rows":
+                if not isinstance(v, list):
+                    raise ParseError(f"subgroup {name} rows must be a list")
                 body["row"] = [val(r, f"subgroup {name} row") for r in v]
             else:
                 body[k] = [val(v, f"subgroup {name}.{k}")]
         sections.append(("subgroup", name, body, None))
-    for name, entry in data.get("points", {}).items():
-        body = {k: [val(v, f"point {name}.{k}")] for k, v in entry.items()}
+    for name, entry in section("points", {}).items():
+        body = {k: [val(v, f"point {name}.{k}")]
+                for k, v in obj(entry, f"point {name}").items()}
         sections.append(("point", name, body, None))
-    for name, expr in data.get("polys", {}).items():
+    for name, expr in section("polys", {}).items():
         sections.append(("poly", name, {"expr": [val(expr, "poly")]}, None))
     known = {"field", "tower", "modules", "subgroups", "points", "polys"}
     for k in data:

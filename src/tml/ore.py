@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, NonInvertibleLeading, ShapeMismatch
+from .errors import (BadParameter, FieldMismatch, NonInvertibleLeading,
+                     ShapeMismatch)
 from .linalg import Mat, gauss_inverse, gauss_solve
 
 
@@ -246,7 +247,8 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     if bound is None:
         bound = max(g.degree, 0)
     if bound < 0:
-        raise ValueError("negative witness degree bound")
+        raise BadParameter("witness degree bound must be nonnegative, "
+                           f"got {bound}")
     tower = p.tower
     s, m = p.rows, p.cols
     if s == 0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonInvertibleLeading
+from .errors import BadParameter, NonInvertibleLeading
 from .linalg import gauss_det
 from .ore import OrePoly
 from .tmodule import TModule
@@ -157,6 +157,9 @@ def invertible_leading_index(module: TModule, max_index: int):
     """First i <= max_index where phi(T^i) has positive tau-degree and an
     invertible leading matrix; returns (i, degree, rows) with the scan
     transcript, or (None, None, rows)."""
+    if max_index < 1:
+        raise BadParameter("largest action power must be at least 1, "
+                           f"got {max_index}")
     rows = []
     for i in range(1, max_index + 1):
         act = module.t_power(i)
@@ -188,6 +191,8 @@ def abelian_scan(module: TModule, max_index: int = 8,
                  degree_cap=None) -> AbelianScanReport:
     """Look for an abelian certificate up to max_index, then for a
     nonabelian pattern fixed point up to the degree cap."""
+    if degree_cap is not None and degree_cap < 0:
+        raise BadParameter(f"degree cap must be nonnegative, got {degree_cap}")
     i, d, rows = invertible_leading_index(module, max_index)
     if i is not None:
         cert = AbelianCertificate(index=i, action_degree=d,

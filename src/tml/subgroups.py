@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, ShapeMismatch
+from .errors import BadParameter, FieldMismatch, ShapeMismatch
 from .fields import Poly
 from .linalg import Mat, kernel_basis
 from .ore import OrePoly, left_multiple_witness
@@ -126,6 +126,9 @@ class KernelSubgroup:
         one of the sound obstructions, or NoWitnessUpTo after an
         inconclusive bounded witness search.
         """
+        if witness_bound is not None and witness_bound < 0:
+            raise BadParameter("witness degree bound must be nonnegative, "
+                               f"got {witness_bound}")
         p = self.presentation
         tower = self.module.tower
         if p.rows == 0:
@@ -177,6 +180,8 @@ def minimal_j_scan(subgroup: KernelSubgroup, max_j=None,
                    witness_bound=None) -> MinimalJScan:
     """Scan j = 1, 2, ... for the least exponent whose monomial action
     leaves the subgroup stable, stopping at the first success."""
+    if max_j is not None and max_j < 1:
+        raise BadParameter(f"largest exponent must be at least 1, got {max_j}")
     hint = subgroup.module.j_bound()
     cap = hint if max_j is None else max_j
     fq = subgroup.module.tower.fq

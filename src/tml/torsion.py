@@ -1,10 +1,16 @@
 """Torsion certification and the square-root twist counterexample family.
 
-A point is torsion when some nonzero base polynomial acts on it as zero;
-the monic minimal one is its order.  The search precomputes the iterated
-images of the point under the T-action, tests candidates as linear
-combinations of those iterates, and re-verifies any hit through a second
-evaluation path (composing the full twisted polynomial first).
+A point is torsion when some nonzero base polynomial acts on it as zero.
+Its annihilator is an ideal of F_q[T], because a -> phi_a is a ring
+homomorphism, so the monic generator of that ideal is the point's order.
+The search finds it as the first F_q-linear dependency among the iterates
+P, phi_T(P), phi_T^2(P), ... (the Krylov sequence of the point): each
+iterate is flattened to F_q(T) coordinates, put over one common
+denominator, and the numerators' coefficients are eliminated as F_q
+vectors.  The cost is polynomial in the size of the iterates, where
+testing every monic candidate took sum q^d steps.  Any order found is
+re-verified through a second evaluation path (composing the full twisted
+polynomial first).
 
 The square-root twist construction adjoins U with U^2 = T and restricts
 the rank-one U-action U + tau to the subring generated by T, giving the
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch
+from .errors import BadParameter, CertificateError, FieldMismatch
 from .fields import FieldTower, Poly, pth_root
 from .linalg import Mat
 from .ore import OrePoly
@@ -30,8 +36,10 @@ from .tmodule import TModule, carlitz, drinfeld, product
 
 @dataclass(frozen=True)
 class TorsionCertificate:
-    """point, its monic minimal annihilator, the iterated T-images used
-    by the search, and how many candidates were tested."""
+    """point, its monic minimal annihilator, the iterated T-images
+    P, phi_T(P), ..., up to the order's degree, and tried: the order's
+    position in the degree-then-base-q enumeration of monic candidates;
+    every earlier candidate is excluded."""
     point: tuple
     order: Poly
     iterates: tuple
@@ -40,7 +48,8 @@ class TorsionCertificate:
 
 @dataclass(frozen=True)
 class TorsionRefuted:
-    """No monic annihilator up to the searched degree."""
+    """No monic annihilator up to the searched degree; tried counts
+    every monic candidate of degree at most max_degree."""
     point: tuple
     max_degree: int
     tried: int
@@ -74,45 +83,112 @@ def is_torsion(module: TModule, point, a: Poly) -> bool:
     must agree."""
     direct = act_on_point(module, a, point)
     composed = module.act(a).evaluate(point)
-    assert direct == tuple(composed), "evaluation paths disagree"
+    if direct != tuple(composed):
+        raise CertificateError("evaluation paths disagree")
     return all(x.is_zero() for x in direct)
 
 
+def _numerator_vector(flat, den: Poly) -> dict:
+    """The F_q coefficients of den * flat as a sparse vector keyed by
+    (coordinate, power of T); den is a multiple of every denominator."""
+    vec = {}
+    for j, rf in enumerate(flat):
+        num = rf.num if rf.den == den else rf.num * (den // rf.den)
+        for k, c in enumerate(num.coeffs):
+            if c:
+                vec[(j, k)] = c
+    return vec
+
+
+def _axpy(fq, y: dict, a: int, x: dict):
+    """y += a * x in place, dropping entries that cancel."""
+    for k, v in x.items():
+        s = fq.add(y.get(k, 0), fq.mul(a, v))
+        if s:
+            y[k] = s
+        else:
+            y.pop(k, None)
+
+
+def _eliminate(fq, basis: list, vec: dict, index: int):
+    """Reduce vec (the index-th Krylov vector) against the echelon basis.
+    On a dependency return (c_0, ..., c_{index-1}) with
+    vec + sum c_i v_i = 0; otherwise add the reduced vector to the basis
+    and return None.  Each basis row is (pivot, row with 1 at the pivot
+    and 0 at every earlier pivot, its combination of Krylov vectors)."""
+    combo = {index: 1}
+    for pivot, row, row_combo in basis:
+        c = vec.get(pivot)
+        if c:
+            neg = fq.neg(c)
+            _axpy(fq, vec, neg, row)
+            _axpy(fq, combo, neg, row_combo)
+    if not vec:
+        return tuple(combo.get(i, 0) for i in range(index))
+    pivot = min(vec)
+    inv = fq.inv(vec[pivot])
+    basis.append((pivot, {k: fq.mul(inv, v) for k, v in vec.items()},
+                  {k: fq.mul(inv, v) for k, v in combo.items()}))
+    return None
+
+
 def torsion_order_search(module: TModule, point, max_degree: int):
-    """Monic candidates by degree, then by the base-q integer whose
-    digits are the lower coefficients; first annihilator wins and is the
-    monic generator of the annihilating ideal."""
+    """The point's order if it has degree at most max_degree, else a
+    refutation.
+
+    Computes the iterates phi_T^d(P) one at a time and stops at the
+    first d where the d-th iterate is an F_q-combination of the earlier
+    ones; T^d + sum c_i T^i read off that dependency is the monic
+    generator of the annihilating ideal.  The test runs on the F_q
+    coefficients of the iterates' flattened coordinates over their least
+    common denominator, an injective F_q-linear image, so dependencies
+    are exactly those of the iterates.  tried is the order's position in
+    the enumeration of monic candidates by degree, then by the base-q
+    integer whose digits are the lower coefficients: no earlier
+    candidate annihilates, since a lower degree would contradict
+    minimality and another monic of the same degree would differ from
+    the order by a lower-degree annihilator."""
+    if max_degree < 0:
+        raise BadParameter("search degree must be nonnegative, "
+                           f"got {max_degree}")
     fq = module.tower.fq
     q = fq.q
     point = tuple(point)
     vt = point[0].tower
-    iterates = [point]
-    for _ in range(max_degree):
-        iterates.append(tuple(module.phi_t.evaluate(iterates[-1])))
-    consts = [vt.const(c) for c in range(q)]
-    tried = 0
+    iterates = []
+    flats = []
+    den = Poly.one(fq)
+    basis = []
     for d in range(max_degree + 1):
-        for n in range(q ** d):
-            tried += 1
-            digits = []
-            m = n
-            for _ in range(d):
-                digits.append(m % q)
-                m //= q
-            acc = iterates[d]
-            for i, c in enumerate(digits):
-                if c:
-                    acc = tuple(x + y * consts[c]
-                                for x, y in zip(acc, iterates[i]))
-            if all(x.is_zero() for x in acc):
-                order = Poly(fq, tuple(digits) + (1,))
-                composed = module.act(order).evaluate(point)
-                assert all(x.is_zero() for x in composed), \
-                    "annihilator failed the composed re-check"
-                transcript = tuple(tuple(x.to_expr() for x in it)
-                                   for it in iterates[:d + 1])
-                return TorsionCertificate(point, order, transcript, tried)
-    return TorsionRefuted(point, max_degree, tried)
+        it = tuple(module.phi_t.evaluate(iterates[-1])) if d else point
+        iterates.append(it)
+        flat = [rf for x in it for rf in vt.flatten(x)]
+        flats.append(flat)
+        common = den
+        for rf in flat:
+            if rf.den.degree > 0:
+                common = common // common.gcd(rf.den) * rf.den
+        if common != den:
+            # rescaling changes the numerators, so eliminate afresh
+            den = common
+            basis = []
+            for i in range(d):
+                _eliminate(fq, basis, _numerator_vector(flats[i], den), i)
+        low = _eliminate(fq, basis, _numerator_vector(flat, den), d)
+        if low is None:
+            continue
+        order = Poly(fq, low + (1,))
+        composed = module.act(order).evaluate(point)
+        if not all(x.is_zero() for x in composed):
+            raise CertificateError(f"order {order.to_expr()} failed the "
+                                   "composed re-check")
+        tried = (sum(q ** k for k in range(d))
+                 + sum(c * q ** i for i, c in enumerate(low)) + 1)
+        transcript = tuple(tuple(x.to_expr() for x in it)
+                           for it in iterates)
+        return TorsionCertificate(point, order, transcript, tried)
+    return TorsionRefuted(point, max_degree,
+                          sum(q ** k for k in range(max_degree + 1)))
 
 
 @dataclass(frozen=True)
@@ -172,7 +248,8 @@ def degree1_kernel(c0, c1, name="W") -> Degree1Kernel:
         elems.append(lifted_theta * out_tower.const(c))
     for e in elems:
         img = a0 * e + a1 * e.frob(1)
-        assert img.is_zero(), "kernel element check failed"
+        if not img.is_zero():
+            raise CertificateError("kernel element check failed")
     return Degree1Kernel(out_tower, lifted_theta, tuple(elems))
 
 
@@ -283,7 +360,8 @@ def square_family_points(ext: FieldTower):
     ext2 = ext.extend(_fresh_name(ext, "R"), modulus)
     r = ext2.gen()
     img = step.evaluate((r,))
-    assert img[0] == ext2.embed(u), "division point fails its equation"
+    if img[0] != ext2.embed(u):
+        raise CertificateError("division point fails its equation")
     level2 = (r.frob(1), r)
     return (level1, level2)
 

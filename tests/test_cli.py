@@ -167,3 +167,41 @@ def test_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "2 generators" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("torsion", "--manifest", ROOT_TWIST, "--point", "Seed",
+      "--bound", "-1"), "search degree must be nonnegative"),
+    (("abelian-scan", "--module", "Cten2", "--max-i", "-3"),
+     "largest action power must be at least 1"),
+    (("rank", "--module", "Cten2", "--max-i", "0"),
+     "largest action power must be at least 1"),
+    (("minimal-j", "--subgroup", "Axis", "--max-j", "-5"),
+     "largest exponent must be at least 1"),
+    (("abelian-scan", "--module", "Cten2", "--degree-cap", "-1"),
+     "degree cap must be nonnegative"),
+    (("exp", "--module", "Cten2", "--order", "-1"),
+     "truncation order must be nonnegative"),
+    # --poly T is refuted by the tangent check before any witness search
+    (("stability", "--subgroup", "Axis", "--poly", "T", "--bound", "-1"),
+     "witness degree bound must be nonnegative"),
+    (("stability", "--subgroup", "Axis", "--poly", "T^2", "--bound", "-1"),
+     "witness degree bound must be nonnegative"),
+], ids=["torsion-bound", "abelian-scan-max-i", "rank-max-i",
+        "minimal-j-max-j", "abelian-scan-degree-cap", "exp-order",
+        "stability-bound-refuted", "stability-bound"])
+def test_out_of_range_parameters_are_usage_errors(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}, got {argv[-1]}\n"
+
+
+def test_malformed_json_section_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"modules": 5}\n', encoding="utf-8")
+    code, out, err = _run(capsys, "validate", "--manifest", str(path),
+                          "--module", "C1")
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: JSON section 'modules' must be an object\n"

@@ -35,6 +35,15 @@ def test_functional_equation_detects_perturbation(tower2):
     assert not verify_functional_equation(broken)
 
 
+def test_functional_equation_checks_the_top_order(tower3):
+    series = exp_series(carlitz(tower3), 4)
+    assert verify_functional_equation(series)
+    coeffs = list(series.coeffs)
+    coeffs[4] = coeffs[4] + Mat.identity(tower3, 1)
+    broken = ExpSeries(series.module, series.order, tuple(coeffs))
+    assert not verify_functional_equation(broken)
+
+
 def test_order_zero_series_is_identity(tower2):
     series = exp_series(tensor_square(tower2), 0)
     assert series.coeff(0) == Mat.identity(tower2, 2)

@@ -139,3 +139,18 @@ def test_json_rejects_unknown_keys():
 def test_json_syntax_error_is_parse_error():
     with pytest.raises(ParseError):
         parse_manifest("{not json")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"modules": 5}, "JSON section 'modules' must be an object"),
+    ({"subgroups": []}, "JSON section 'subgroups' must be an object"),
+    ({"tower": 3}, "JSON section 'tower' must be a list"),
+    ({"tower": [["U"]]}, "tower step must be a [name, coefficients] pair"),
+    ({"field": 2}, "field must be an object"),
+    ({"modules": {"C1": "T"}}, "module C1 must be an object"),
+    ({"subgroups": {"A": {"rows": 3}}}, "subgroup A rows must be a list"),
+])
+def test_malformed_json_sections_rejected(doc, message):
+    with pytest.raises(ParseError) as info:
+        parse_manifest(json.dumps(doc))
+    assert str(info.value) == message

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from tml.errors import BadParameter
+
 from tml.corpus import random_element
-from tml.fields import FieldTower, FiniteField, Poly, pth_root
-from tml.tmodule import carlitz, carlitz_tensor
+from tml.fields import FieldTower, FiniteField, Poly, RatFunc, pth_root
+from tml.tmodule import carlitz, carlitz_tensor, drinfeld
 from tml.torsion import (TorsionCertificate, TorsionRefuted, act_on_point,
                          certify_torsion_subvariety, counterexample_module,
                          curve_of_squares, degree1_kernel,
@@ -12,6 +18,10 @@ from tml.torsion import (TorsionCertificate, TorsionRefuted, act_on_point,
                          root_kernel_degrees, root_of_square_identity,
                          sqrt_tower, sqrt_twist, square_family_points,
                          square_root_family, torsion_order_search)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def _ext2(tower2):
@@ -172,3 +182,137 @@ def test_pth_root_tower_alignment(tower2):
     u = ext.gen()
     assert pth_root(ext.T()) == u
     assert pth_root(u) is None
+
+
+def _reference_search(module, point, max_degree):
+    """The plain enumeration: monic candidates by degree, then by the
+    base-q integer whose digits are the lower coefficients; the first
+    annihilator is the order.  Returns (order or None, tried, iterates
+    transcript or max_degree)."""
+    fq = module.tower.fq
+    vt = point[0].tower
+    iterates = [tuple(point)]
+    for _ in range(max_degree):
+        iterates.append(tuple(module.phi_t.evaluate(iterates[-1])))
+    tried = 0
+    for d in range(max_degree + 1):
+        for n in range(fq.q ** d):
+            tried += 1
+            low = [n // fq.q ** i % fq.q for i in range(d)]
+            acc = iterates[d]
+            for i, c in enumerate(low):
+                acc = tuple(x + y * vt.const(c)
+                            for x, y in zip(acc, iterates[i]))
+            if all(x.is_zero() for x in acc):
+                transcript = tuple(tuple(x.to_expr() for x in it)
+                                   for it in iterates[:d + 1])
+                return Poly(fq, low + [1]), tried, transcript
+    return None, tried, max_degree
+
+
+def _kernel_sum(fq, a, b):
+    """A Carlitz point of order (T + a)(T + b), a != b: the sum of kernel
+    points of C_{T+a} and C_{T+b}, each adjoined by a radical step."""
+    t = FieldTower(fq)
+    k1 = degree1_kernel(t.T() + t.const(a), t.one(), "W")
+    tw = k1.tower
+    k2 = degree1_kernel(tw.T() + tw.const(b), tw.one(), "V")
+    tv = k2.tower
+    return carlitz(tv), (tv.embed(k1.theta) + k2.theta,)
+
+
+def _differential_cases(rng):
+    # (q, search bound) with q = 4 and 9 built on nonprime F_q
+    fields = {(2, 1): 5, (3, 1): 3, (2, 2): 3, (5, 1): 2, (3, 2): 2}
+    for (p, e), bound in fields.items():
+        fq = FiniteField(p, e)
+        t = FieldTower(fq)
+        q = fq.q
+
+        def poly_elem():
+            cs = [rng.randrange(q) for _ in range(2)]
+            return t.from_ratfunc(RatFunc.from_poly(Poly(fq, cs)))
+
+        modules = (carlitz(t), carlitz_tensor(t, 2),
+                   drinfeld(t, (t.const(rng.randrange(1, q)), t.one())))
+        for mod in modules:
+            dim = mod.dimension
+            yield mod, (t.zero(),) * dim, bound
+            yield mod, tuple(t.const(rng.randrange(1, q))
+                             for _ in range(dim)), bound
+            yield mod, tuple(poly_elem() for _ in range(dim)), bound
+        # rational points through phi_T of degree two blow up for odd q
+        yield carlitz(t), (random_element(rng, t, 1),), (bound if q < 4
+                                                          else 1)
+    f2 = FieldTower(FiniteField(2))
+    yield carlitz_tensor(f2, 2), (random_element(rng, f2, 1),
+                                  random_element(rng, f2, 1)), 4
+    ext = sqrt_tower(f2)
+    for pt in square_family_points(ext):
+        yield counterexample_module(ext), pt, 3
+    for p, e, a in ((3, 1, 0), (2, 2, 2), (5, 1, 3)):
+        mod, pt = _kernel_sum(FiniteField(p, e), a, 1)
+        yield mod, pt, 2
+
+
+def test_search_matches_reference_enumeration():
+    seen = set()
+    for mod, pt, bound in _differential_cases(random.Random(20261018)):
+        order, tried, tail = _reference_search(mod, pt, bound)
+        out = torsion_order_search(mod, pt, bound)
+        assert out.tried == tried
+        if order is None:
+            assert isinstance(out, TorsionRefuted)
+            assert out.max_degree == tail
+            seen.add("refuted")
+        else:
+            assert isinstance(out, TorsionCertificate)
+            assert out.order == order
+            assert out.iterates == tail
+            seen.add(order.degree)
+    # zero points, degree one and two orders, and refutations all occur
+    assert seen >= {0, 1, 2, "refuted"}
+
+
+def test_order_with_nonzero_lower_coefficients():
+    # (T + g)(T + 1) over F_4 sits at position 1 + 4 + (g + (g+1)*4) + 1
+    fq = FiniteField(2, 2)
+    mod, pt = _kernel_sum(fq, 2, 1)
+    out = torsion_order_search(mod, pt, 2)
+    assert out.order == Poly(fq, (2, 3, 1))
+    assert out.tried == 1 + 4 + (2 + 3 * 4) + 1
+
+
+def test_refutation_counts_every_candidate():
+    tower = FieldTower(FiniteField(5))
+    out = torsion_order_search(carlitz(tower), (tower.T(),), 6)
+    assert isinstance(out, TorsionRefuted)
+    assert out.tried == 19531
+
+
+def test_negative_search_degree_is_rejected(tower2):
+    with pytest.raises(BadParameter):
+        torsion_order_search(carlitz(tower2), (tower2.T(),), -1)
+
+
+def test_composed_recheck_survives_optimized_mode():
+    # corrupt the annihilator that the re-check composes; under -O the
+    # search must still refuse to certify it
+    script = textwrap.dedent("""
+        from tml.errors import CertificateError
+        from tml.fields import FieldTower, FiniteField, Poly
+        from tml.tmodule import TModule, carlitz
+        from tml.torsion import torsion_order_search
+        act = TModule.act
+        TModule.act = lambda self, a: act(self, a + Poly.one(a.field))
+        tower = FieldTower(FiniteField(2))
+        try:
+            torsion_order_search(carlitz(tower), (tower.T(),), 2)
+        except CertificateError as exc:
+            print("refused:", exc)
+        """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: order T failed")
