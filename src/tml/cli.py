@@ -22,7 +22,7 @@ import os
 import sys
 from importlib import resources
 
-from .corpus import run_corpus
+from .corpus import run_corpus, scalar_text
 from .errors import ParseError, TmlError
 from .exponential import (RestrictionVerdict, exp_restriction_check,
                           exp_series, verify_functional_equation)
@@ -63,20 +63,6 @@ def _open(word: str) -> str:
     return _paint(word, _YELLOW)
 
 
-def _scalar_text(op: OrePoly) -> str:
-    parts = []
-    for i, e in enumerate(op.scalar_elems()):
-        if e.is_zero():
-            continue
-        es = e.to_expr()
-        if i == 0:
-            parts.append(es)
-            continue
-        t = "tau" if i == 1 else f"tau^{i}"
-        parts.append(t if es == "1" else f"({es})*{t}")
-    return " + ".join(parts) if parts else "0"
-
-
 def _matrix_text(exprs) -> str:
     return "[" + "; ".join(", ".join(row) for row in exprs) + "]"
 
@@ -84,7 +70,7 @@ def _matrix_text(exprs) -> str:
 def _ore_lines(op: OrePoly, indent: str = "  "):
     """One line per tau-degree, or a single scalar line for 1x1."""
     if op.rows == 1 and op.cols == 1:
-        return [indent + _scalar_text(op)]
+        return [indent + scalar_text(op)]
     exprs = op.to_exprs()
     return [f"{indent}tau^{i}: {_matrix_text(grid)}"
             for i, grid in enumerate(exprs)]
@@ -256,6 +242,7 @@ def cmd_j_bound(args):
 def cmd_abelian_scan(args):
     manifest = _load_manifest(args)
     module = _module(manifest, args)
+    module.require_nilpotent()
     report = abelian_scan(module, max_index=args.max_i,
                           degree_cap=args.degree_cap)
     lines = [f"abelian scan of {args.module} "
@@ -297,6 +284,7 @@ def cmd_abelian_scan(args):
 def cmd_rank(args):
     manifest = _load_manifest(args)
     module = _module(manifest, args)
+    module.require_nilpotent()
     from .structure import rank_report
     count = rank_report(module, max_index=args.max_i)
     payload = {"command": "rank", "module": args.module, "generators": count}

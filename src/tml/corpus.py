@@ -80,7 +80,7 @@ def random_element(rng: random.Random, tower: FieldTower, degree: int = 2):
     return acc
 
 
-def _scalar_text(op: OrePoly) -> str:
+def scalar_text(op: OrePoly) -> str:
     parts = []
     for i, e in enumerate(op.scalar_elems()):
         if e.is_zero():
@@ -188,7 +188,7 @@ def check_graph_subgroup_witness(field: FiniteField | None = None):
     _require(lhs == rhs, "witness identity fails on re-expansion")
     return ("ambient: product of T + T*tau and T + T^2*tau",
             "subgroup: kernel of [1 + tau, 1]",
-            f"witness: {_scalar_text(witness)}")
+            f"witness: {scalar_text(witness)}")
 
 
 def check_tensor_square_action(corner=(1, 0)):
@@ -229,7 +229,7 @@ def check_axis_stable(corner=(1, 0)):
     witness = verdict.witness
     _require(witness * axis.presentation == axis.presentation * module.act(a),
              "witness identity fails on re-expansion")
-    return (f"verdict under T^2: stable, witness {_scalar_text(witness)}",)
+    return (f"verdict under T^2: stable, witness {scalar_text(witness)}",)
 
 
 def check_power_bound():

@@ -10,7 +10,7 @@ polynomials in the step generators.
 
 from __future__ import annotations
 
-from .errors import FieldMismatch, ZeroDivisor
+from .errors import CertificateError, FieldMismatch, ShapeMismatch, ZeroDivisor
 
 DEFAULT_P_LIMIT = 13
 DEFAULT_E_LIMIT = 4
@@ -36,17 +36,6 @@ def _fp_strip(c):
     while k and c[k - 1] == 0:
         k -= 1
     return tuple(c[:k])
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_strip(out)
 
 
 def _fp_mod(a, b, p):
@@ -673,10 +662,16 @@ class FieldTower:
     degree at least two over the previous level.  Defining polynomials
     are not checked for irreducibility; a reducible one surfaces later
     as a ZeroDivisor raised from some inversion.
+
+    Elements are immutable, so zero() and one() are built once per tower
+    and shared.  The Frobenius x -> x**q is q-semilinear over the base
+    field k = F_q(T): frob(sum x_i e_i) = sum x_i**q * frob(e_i) for the
+    monomial basis e_i.  The tower caches the flattened images frob(e_i)
+    as its Frobenius table, keeping only their nonzero coordinates.
     """
 
-    __slots__ = ("fq", "parent", "name", "modulus", "depth", "_frob_gen",
-                 "_basis_pow_cache", "_key")
+    __slots__ = ("fq", "parent", "name", "modulus", "depth", "_zero", "_one",
+                 "_frob_table", "_basis_pow_cache", "_key")
 
     def __init__(self, fq: FiniteField, _parent=None, _name=None, _modulus=None):
         self.fq = fq
@@ -684,12 +679,17 @@ class FieldTower:
         self.name = _name
         self.modulus = _modulus
         self.depth = 0 if _parent is None else _parent.depth + 1
-        self._frob_gen = None
+        self._frob_table = None
         self._basis_pow_cache = None
         if _parent is None:
             self._key = (fq.key,)
+            self._zero = TowerElement(self, RatFunc.zero(fq))
+            self._one = TowerElement(self, RatFunc.one(fq))
         else:
             self._key = _parent._key + ((_name, tuple(c.data_key() for c in _modulus)),)
+            pad = (_parent._zero,) * (len(_modulus) - 2)
+            self._zero = TowerElement(self, (_parent._zero,) + pad)
+            self._one = TowerElement(self, (_parent._one,) + pad)
 
     def extend(self, name: str, modulus_coeffs) -> "FieldTower":
         """A new tower with one more step.
@@ -753,14 +753,10 @@ class FieldTower:
         return TowerElement(self, data)
 
     def zero(self):
-        if self.parent is None:
-            return TowerElement(self, RatFunc.zero(self.fq))
-        d = self.step_degree()
-        z = self.parent.zero()
-        return TowerElement(self, (z,) * d)
+        return self._zero
 
     def one(self):
-        return self.from_ratfunc(RatFunc.one(self.fq))
+        return self._one
 
     def T(self):
         return self.from_ratfunc(RatFunc.gen(self.fq))
@@ -775,20 +771,14 @@ class FieldTower:
         if self.parent is None:
             return TowerElement(self, rf)
         below = self.parent.from_ratfunc(rf)
-        d = self.step_degree()
-        pz = self.parent.zero()
-        return TowerElement(self, (below,) + (pz,) * (d - 1))
+        return TowerElement(self, (below,) + self._zero.data[1:])
 
     def gen(self):
         """The generator adjoined by the top step."""
         if self.parent is None:
             return self.T()
-        d = self.step_degree()
         pz = self.parent.zero()
-        po = self.parent.one()
-        data = [pz] * d
-        data[1] = po
-        return TowerElement(self, tuple(data))
+        return TowerElement(self, (pz, self.parent.one()) + self._zero.data[2:])
 
     def embed(self, elem: "TowerElement") -> "TowerElement":
         """Lift an element of an ancestor tower into this one."""
@@ -799,16 +789,8 @@ class FieldTower:
         chain = self.ancestors()
         cur = elem
         for step in chain[len(elem.tower.ancestors()):]:
-            d = step.step_degree()
-            pz = step.parent.zero()
-            cur = TowerElement(step, (cur,) + (pz,) * (d - 1))
+            cur = TowerElement(step, (cur,) + step._zero.data[1:])
         return cur
-
-    def frob_gen(self):
-        """gen**q reduced, cached; drives the Frobenius at this level."""
-        if self._frob_gen is None:
-            self._frob_gen = self.gen() ** self.fq.q
-        return self._frob_gen
 
     # -- flattening over the base field k = F_q(T)
 
@@ -823,8 +805,10 @@ class FieldTower:
 
     def unflatten(self, vec):
         """Inverse of flatten; vec is a list of RatFunc of full length."""
+        if len(vec) != self.total_degree():
+            raise ShapeMismatch(f"{len(vec)} coordinates for a tower of "
+                                f"degree {self.total_degree()}")
         if self.parent is None:
-            assert len(vec) == 1
             return TowerElement(self, vec[0])
         d = self.step_degree()
         block = len(vec) // d
@@ -835,10 +819,22 @@ class FieldTower:
     def basis_pth_powers(self):
         """Flattened p-th powers of the monomial basis elements, cached."""
         if self._basis_pow_cache is None:
-            p = self.fq.p
-            mons = self._basis_monomials()
-            self._basis_pow_cache = [self.flatten(m ** p) for m in mons]
+            self._basis_pow_cache = self._basis_powers(self.fq.p)
         return self._basis_pow_cache
+
+    def frob_table(self):
+        """Row i lists (j, c) for the nonzero coordinates c of frob(e_i);
+        c is None where the coordinate is 1.  Built once, cached."""
+        if self._frob_table is None:
+            one = RatFunc.one(self.fq)
+            self._frob_table = [
+                [(j, None if c == one else c) for j, c in enumerate(row)
+                 if not c.is_zero()]
+                for row in self._basis_powers(self.fq.q)]
+        return self._frob_table
+
+    def _basis_powers(self, k):
+        return [self.flatten(m ** k) for m in self._basis_monomials()]
 
     def _basis_monomials(self):
         if self.parent is None:
@@ -913,27 +909,14 @@ class TowerElement:
         t = self.tower
         if t.parent is None:
             return TowerElement(t, self.data * other.data)
-        d = t.step_degree()
         a, b = self.data, other.data
-        pz = t.parent.zero()
-        conv = [pz] * (2 * d - 1)
+        conv = [t.parent.zero()] * (2 * t.step_degree() - 1)
         for i, ai in enumerate(a):
             if not ai.is_zero():
                 for j, bj in enumerate(b):
                     if not bj.is_zero():
                         conv[i + j] = conv[i + j] + ai * bj
-        mod = t.modulus
-        for top in range(2 * d - 2, d - 1, -1):
-            c = conv[top]
-            if not c.is_zero():
-                off = top - d
-                for i in range(d):
-                    conv[off + i] = conv[off + i] - c * mod[i]
-            conv[top] = pz
-        return TowerElement(t, tuple(conv[:d]))
-
-    def scale_fq(self, c: int):
-        return self * self.tower.const(c)
+        return self._from_coeffs(conv)
 
     def __pow__(self, n: int):
         out = self.tower.one()
@@ -1015,25 +998,32 @@ class TowerElement:
         return self * other.inverse()
 
     def frob(self, i: int = 1):
-        """The q**i power, computed as a ring homomorphism."""
+        """The q**i power, computed as a ring homomorphism.
+
+        Above the base the element is flattened to its coordinates over
+        F_q(T) and the tower's Frobenius table is applied i times: each
+        step stretches every nonzero coordinate x_j to x_j**q and adds
+        x_j**q * frob(e_j) into the output coordinates.
+        """
         if i == 0:
             return self
         t = self.tower
         if t.parent is None:
             return TowerElement(t, self.data.frob(i))
-        out = self
+        table = t.frob_table()
+        zero = RatFunc.zero(t.fq)
+        vec = t.flatten(self)
         for _ in range(i):
-            out = out._frob_once()
-        return out
-
-    def _frob_once(self):
-        t = self.tower
-        w = t.frob_gen()
-        acc = t.zero()
-        for c in reversed(self.data):
-            acc = acc * w + t.embed(c._frob_once() if c.tower.parent is not None
-                                    else TowerElement(c.tower, c.data.frob(1)))
-        return acc
+            out = [None] * len(vec)
+            for x, row in zip(vec, table):
+                if x.is_zero():
+                    continue
+                xq = x.frob(1)
+                for j, c in row:
+                    term = xq if c is None else xq * c
+                    out[j] = term if out[j] is None else out[j] + term
+            vec = [zero if y is None else y for y in out]
+        return t.unflatten(vec)
 
     def __eq__(self, other):
         if not isinstance(other, TowerElement) or self.tower != other.tower:
@@ -1112,7 +1102,8 @@ def pth_root(x: TowerElement):
     if sol is None:
         return None
     y = tower.unflatten([c.data for c in sol])
-    assert y ** p == x
+    if y ** p != x:
+        raise CertificateError("p-th root failed its re-check y**p == x")
     return y
 
 

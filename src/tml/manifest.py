@@ -27,6 +27,11 @@ from .tmodule import TModule
 
 _OPS = set("+-*/^")
 
+# Largest degree a power v^n may reach: n times the total degree of v in T
+# and the tower generators, denominators included.  Well above any worked
+# example; without it "T^99999999999" would run until memory ran out.
+MAX_POWER_DEGREE = 10_000
+
 
 @dataclass(frozen=True)
 class _Tok:
@@ -71,6 +76,14 @@ def _tokenize(text, line=None, col_offset=0):
     return toks
 
 
+def _total_degree(v):
+    """Total degree of a tower element in T and the tower generators."""
+    if v.tower.parent is None:
+        return max(v.data.num.degree, v.data.den.degree)
+    return max((_total_degree(c) + j for j, c in enumerate(v.data)
+                if not c.is_zero()), default=0)
+
+
 def eval_expr(text, env, const, line=None, col_offset=0):
     """Evaluate an expression against named values; const maps an
     unsigned integer literal to a value."""
@@ -86,6 +99,13 @@ def eval_expr(text, env, const, line=None, col_offset=0):
         pos += 1
         return t
 
+    def as_int(t):
+        try:
+            return int(t.text)
+        except ValueError:
+            raise ParseError(f"integer literal of {len(t.text)} digits is "
+                             "too long", line, t.col) from None
+
     def parse_atom():
         t = take()
         if t.kind == "name":
@@ -93,7 +113,7 @@ def eval_expr(text, env, const, line=None, col_offset=0):
                 raise ParseError(f"unknown name {t.text!r}", line, t.col)
             return env[t.text]
         if t.kind == "int":
-            return const(int(t.text))
+            return const(as_int(t))
         if t.kind == "lparen":
             v = parse_expr()
             closing = take()
@@ -113,7 +133,12 @@ def eval_expr(text, env, const, line=None, col_offset=0):
                 raise ParseError("'^' requires an unsigned integer exponent",
                                  line, caret.col)
             take()
-            v = v ** int(e.text)
+            n = as_int(e)
+            degree = n * _total_degree(v)
+            if degree > MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree {degree} exceeds the cap "
+                                 f"of {MAX_POWER_DEGREE}", line, caret.col)
+            v = v ** n
         return v
 
     def parse_term():

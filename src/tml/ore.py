@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (BadParameter, FieldMismatch, NonInvertibleLeading,
-                     ShapeMismatch)
+from .errors import (BadParameter, CertificateError, FieldMismatch,
+                     NonInvertibleLeading, ShapeMismatch)
 from .linalg import Mat, gauss_inverse, gauss_solve
 
 
@@ -119,24 +119,9 @@ class OrePoly:
                 out[i + j] = out[i + j] + (a @ twisted[key])
         return OrePoly(self.tower, self.rows, other.cols, out)
 
-    def left_mul_mat(self, m: Mat):
-        """Multiply every coefficient by a constant matrix on the left."""
-        if m.cols != self.rows:
-            raise ShapeMismatch("left matrix factor shape mismatch")
-        return OrePoly(self.tower, m.rows, self.cols,
-                       tuple(m @ c for c in self.coeffs))
-
     def scale(self, e):
         return OrePoly(self.tower, self.rows, self.cols,
                        tuple(c.scale(e) for c in self.coeffs))
-
-    def tau_shift(self, k: int, pre_twist=0):
-        """Multiply by tau^k on the left: coefficients twist by q^k and shift."""
-        if self.is_zero():
-            return self
-        zero = Mat.zeros(self.tower, self.rows, self.cols)
-        shifted = (zero,) * k + tuple(c.frob(k + pre_twist) for c in self.coeffs)
-        return OrePoly(self.tower, self.rows, self.cols, shifted)
 
     def evaluate(self, vec):
         """Apply the twisted polynomial to a coordinate vector.
@@ -253,7 +238,8 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     s, m = p.rows, p.cols
     if s == 0:
         q = OrePoly.zero(tower, 0, 0)
-        assert q * p == g
+        if q * p != g:
+            raise CertificateError("witness failed independent re-expansion")
         return q
     if p.is_zero():
         return None if not g.is_zero() else OrePoly.zero(tower, s, s)
@@ -295,5 +281,6 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
         mats.append(Mat(tuple(tuple(rows_out[r][i * s + k] for k in range(s))
                               for r in range(s))))
     q = OrePoly(tower, s, s, mats)
-    assert q * p == g, "witness failed independent re-expansion"
+    if q * p != g:
+        raise CertificateError("witness failed independent re-expansion")
     return q

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, NotNilpotent, ShapeMismatch
+from .errors import (CertificateError, FieldMismatch, NotNilpotent,
+                     ShapeMismatch)
 from .fields import Poly
 from .linalg import Mat
 from .ore import OrePoly
@@ -75,6 +76,13 @@ class TModule:
         self._nilp = order
         return order
 
+    def require_nilpotent(self) -> int:
+        """The nilpotency order; raises NotNilpotent when there is none."""
+        order = self.nilpotency_order()
+        if order is None:
+            raise NotNilpotent("constant coefficient is not T*I plus nilpotent")
+        return order
+
     def validate(self) -> ValidityReport:
         problems = []
         order = self.nilpotency_order()
@@ -130,9 +138,7 @@ class TModule:
         For j = p**r >= n the differential of the T**j action collapses to
         the scalar matrix T**j * I; this is re-verified before returning.
         """
-        order = self.nilpotency_order()
-        if order is None:
-            raise NotNilpotent("constant coefficient is not T*I plus nilpotent")
+        order = self.require_nilpotent()
         p = self.tower.fq.p
         j = 1
         while j < order:
@@ -141,7 +147,7 @@ class TModule:
         tj = Poly(fq, (0,) * j + (1,))
         expected = Mat.scalar(self.tower, self.dimension, self.tower.T() ** j)
         if self.differential(tj) != expected:
-            raise AssertionError("scalar differential verification failed")
+            raise CertificateError("scalar differential verification failed")
         return j
 
     def __eq__(self, other):

@@ -205,3 +205,34 @@ def test_malformed_json_section_is_parse_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "parse error: JSON section 'modules' must be an object\n"
+
+
+NOT_NILPOTENT = """\
+[field]
+p = 2
+
+[module Bad]
+m = 2
+a0 = 1, 0, 0, T
+a1 = 1, 0, 0, 1
+"""
+
+
+@pytest.mark.parametrize("command", ["j-bound", "abelian-scan", "rank"])
+def test_invalid_module_is_refused_before_scans(capsys, tmp_path, command):
+    path = tmp_path / "bad.tml"
+    path.write_text(NOT_NILPOTENT, encoding="utf-8")
+    code, out, err = _run(capsys, command, "--manifest", str(path),
+                          "--module", "Bad")
+    assert code == 2
+    assert out == ""
+    assert err == "error: constant coefficient is not T*I plus nilpotent\n"
+
+
+def test_power_beyond_degree_cap_is_parse_error(capsys):
+    code, out, err = _run(capsys, "act", "--module", "Cten2",
+                          "--poly", "T^99999999999")
+    assert code == 2
+    assert out == ""
+    assert err == ("parse error: power of degree 99999999999 exceeds "
+                   "the cap of 10000 (col 2)\n")

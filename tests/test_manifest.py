@@ -6,8 +6,8 @@ from importlib import resources
 from tml.errors import ParseError
 from tml.fields import FiniteField, Poly
 from tml.linalg import Mat
-from tml.manifest import (load_manifest, manifest_to_text, parse_manifest,
-                          poly_from_text)
+from tml.manifest import (MAX_POWER_DEGREE, load_manifest, manifest_to_text,
+                          parse_manifest, poly_from_text)
 from tml.tmodule import carlitz_tensor
 
 
@@ -154,3 +154,37 @@ def test_malformed_json_sections_rejected(doc, message):
     with pytest.raises(ParseError) as info:
         parse_manifest(json.dumps(doc))
     assert str(info.value) == message
+
+
+def test_power_degree_cap(f2):
+    # the cap counts the degree the power reaches: exponent times the
+    # total degree of its base in T and the tower generators
+    assert poly_from_text(f2, f"T^{MAX_POWER_DEGREE}").degree == MAX_POWER_DEGREE
+    assert poly_from_text(f2, "(T^100)^100").degree == 10000
+    assert poly_from_text(f2, "1^99999999999") == Poly.one(f2)
+    for text in ("T^10001", "(T^100)^101", "(1/T)^10001", "T^99999999999",
+                 "T^" + "9" * 5000):
+        with pytest.raises(ParseError):
+            poly_from_text(f2, text)
+    manifest = parse_manifest(ROOT_TWIST_CAP.format(n=5000))
+    assert manifest.points["P"][0].tower.depth == 1
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        parse_manifest(ROOT_TWIST_CAP.format(n=5001))
+
+
+ROOT_TWIST_CAP = """\
+[field]
+p = 2
+
+[tower]
+U = 0 - T, 0, 1
+
+[module C]
+m = 1
+a0 = T
+a1 = 1
+
+[point P]
+module = C
+coords = (T * U)^{n}
+"""

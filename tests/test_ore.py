@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -6,6 +10,9 @@ from tml.errors import NonInvertibleLeading, ShapeMismatch
 from tml.fields import FieldTower, FiniteField, Poly, RatFunc
 from tml.linalg import Mat
 from tml.ore import OrePoly, left_multiple_witness, right_divide
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def _rand_elem(rng, tower, degree=2):
@@ -139,3 +146,29 @@ def test_ore_constructors(tower2):
     fm = OrePoly.from_matrices(tower2, mats)
     assert fm.degree == 1
     assert fm.coeff(1)[0, 0] == tower2.T()
+
+
+def test_witness_recheck_survives_optimized_mode():
+    # corrupt the solved witness system; under -O the re-expansion
+    # q * p == g must still refuse it
+    script = textwrap.dedent("""
+        from tml import ore
+        from tml.errors import CertificateError
+        from tml.fields import FieldTower, FiniteField
+        solve = ore.gauss_solve
+        def corrupt(tower, rows, rhs):
+            sol = solve(tower, rows, rhs)
+            return [sol[0] + tower.one()] + sol[1:]
+        ore.gauss_solve = corrupt
+        tower = FieldTower(FiniteField(2))
+        p = ore.OrePoly.scalar(tower, (tower.T(), tower.one()))
+        try:
+            ore.left_multiple_witness(p, p * p, bound=1)
+        except CertificateError as exc:
+            print("refused:", exc)
+        """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused: witness failed independent re-expansion\n"
