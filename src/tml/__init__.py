@@ -5,13 +5,13 @@ from .errors import (TmlError, FieldMismatch, ShapeMismatch, ZeroDivisor,
                      ParseError, BadParameter, CertificateError)
 from .fields import (FiniteField, Poly, RatFunc, FieldTower, TowerElement,
                      frobenius, pth_root, substitute, ratfunc_substitute)
-from .linalg import Mat, gauss_solve, gauss_inverse, gauss_det, kernel_basis
+from .linalg import (Mat, gauss_solve, gauss_inverse, matrix_rank,
+                     kernel_basis)
 from .ore import OrePoly, right_divide, left_multiple_witness
 from .tmodule import (TModule, ValidityReport, carlitz, carlitz_tensor,
                       drinfeld, product, diagonal_power)
 from .subgroups import (KernelSubgroup, Stable, NoWitnessUpTo,
-                        ProvablyUnstable, MinimalJScan, minimal_j_scan,
-                        TorsionSubvariety)
+                        ProvablyUnstable, MinimalJScan, minimal_j_scan)
 from .structure import (OrePattern, AbelianCertificate,
                         NonabelianCertificate, InconclusiveScan,
                         abelian_scan, degree_sequence, rank_report)
@@ -23,7 +23,8 @@ from .torsion import (TorsionCertificate, TorsionRefuted, act_on_point,
                       sqrt_tower, sqrt_twist, frobenius_intertwines,
                       root_of_square_identity, square_root_family,
                       counterexample_module, square_family_points,
-                      certify_torsion_subvariety, root_kernel_degrees)
+                      certify_torsion_subvariety, root_kernel_degrees,
+                      TorsionSubvariety)
 from .manifest import (Manifest, parse_manifest, load_manifest,
                        manifest_to_text, poly_from_text)
 from .corpus import CorpusReport, CorpusResult, run_corpus

@@ -463,12 +463,16 @@ class Poly:
             out[i * k] = c
         return Poly(self.field, out)
 
-    def eval_elem(self, x: int) -> int:
-        """Horner evaluation at an encoded F_q element."""
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
+    def at(self, x, const):
+        """Horner's rule at x in any ring with * and +, where const(c)
+        embeds an encoded coefficient; zero coefficients add nothing."""
+        if not self.coeffs:
+            return const(0)
+        acc = const(self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * x
+            if c:
+                acc = acc + const(c)
         return acc
 
     def __eq__(self, other):
@@ -1109,11 +1113,7 @@ def pth_root(x: TowerElement):
 
 def substitute(poly: Poly, value: TowerElement) -> TowerElement:
     """Evaluate a base polynomial at a tower element."""
-    t = value.tower
-    acc = t.zero()
-    for c in reversed(poly.coeffs):
-        acc = acc * value + t.const(c)
-    return acc
+    return poly.at(value, value.tower.const)
 
 
 def ratfunc_substitute(rf: RatFunc, value: TowerElement) -> TowerElement:

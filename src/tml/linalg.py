@@ -199,37 +199,9 @@ def gauss_inverse(field, mat: Mat):
     return Mat(tuple(tuple(row[n:]) for row in aug))
 
 
-def gauss_det(field, mat: Mat):
-    """Exact determinant by triangularization with pivot tracking."""
-    n = mat.rows
-    if n != mat.cols:
-        raise ShapeMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return field.one()
-    rows = [list(r) for r in mat.data]
-    det = field.one()
-    sign = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            return field.zero()
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        det = det * piv
-        inv = piv.inverse()
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [vi - f * vc for vi, vc in zip(rows[i], rows[c])]
-    if sign < 0:
-        det = -det
-    return det
+def matrix_rank(mat: Mat) -> int:
+    """Rank, as the pivot count of the reduced row echelon form."""
+    return len(_rref([list(r) for r in mat.data], mat.cols))
 
 
 def kernel_basis(field, mat: Mat):

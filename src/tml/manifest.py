@@ -166,10 +166,11 @@ def eval_expr(text, env, const, line=None, col_offset=0):
 
 @dataclass(frozen=True)
 class _Val:
-    """A raw value with its source position (positions absent for JSON)."""
+    """A raw value with its source position; JSON values have no line
+    and start at column 1."""
     text: str
     line: object = None
-    col: int = 0
+    col: int = 1
 
 
 @dataclass
@@ -510,12 +511,7 @@ def build_manifest(sections) -> Manifest:
         points[name] = tuple(coords)
         point_modules[name] = mod_name
 
-    base = tower.base()
     polys = {}
-    base_env = {"T": base.T()}
-    if field.e > 1:
-        base_env[field.gen_name] = base.const(field.p)
-    base_const = lambda n: base.const(field.elem(n))
     for kind, name, body, line in sections:
         if kind != "poly":
             continue
@@ -523,12 +519,7 @@ def build_manifest(sections) -> Manifest:
             raise ParseError(f"duplicate poly {name!r}", line, 1)
         _check_keys(body, {"expr"}, "poly", line)
         val = _single(body, "expr", "poly", line)
-        elem = eval_expr(val.text, base_env, base_const, val.line, val.col - 1)
-        rf = elem.data
-        if rf.den.degree != 0 or not rf.den.is_monic():
-            raise ParseError("base polynomial may not have a denominator",
-                             val.line, val.col)
-        polys[name] = rf.num
+        polys[name] = poly_from_text(field, val.text, val.line, val.col)
     return Manifest(field, tower, modules, subgroups, points, point_modules,
                     polys)
 
@@ -595,18 +586,21 @@ def manifest_to_text(manifest: Manifest) -> str:
     return "\n".join(out) + "\n"
 
 
-def poly_from_text(field: FiniteField, text: str) -> Poly:
-    """Parse a base polynomial expression with the same grammar the
-    [poly] sections use; denominators are rejected."""
+def poly_from_text(field: FiniteField, text: str, line=None,
+                   col=1) -> Poly:
+    """Parse a base polynomial expression, as [poly] sections and --poly
+    do; denominators are rejected.  Errors are placed as if the text
+    began at column col of the given line."""
     base = FieldTower(field)
     env = {"T": base.T()}
     if field.e > 1:
         env[field.gen_name] = base.const(field.p)
-    elem = eval_expr(text, env, lambda n: base.const(field.elem(n)))
+    elem = eval_expr(text, env, lambda n: base.const(field.elem(n)), line,
+                     col - 1)
     rf = elem.data
     if rf.den.degree != 0 or not rf.den.is_monic():
         raise ParseError("base polynomial may not have a denominator",
-                         None, 1)
+                         line, col)
     return rf.num
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParameter, NonInvertibleLeading
-from .linalg import gauss_det
+from .errors import BadParameter
+from .linalg import matrix_rank
 from .ore import OrePoly
 from .tmodule import TModule
 
@@ -164,11 +164,9 @@ def invertible_leading_index(module: TModule, max_index: int):
     for i in range(1, max_index + 1):
         act = module.t_power(i)
         d = act.degree
-        inv = False
-        if d >= 1:
-            inv = not gauss_det(module.tower, act.leading()).is_zero()
+        inv = d >= 1 and matrix_rank(act.leading()) == module.dimension
         rows.append(ScanRow(i, d, inv))
-        if d >= 1 and inv:
+        if inv:
             return i, d, tuple(rows)
     return None, None, tuple(rows)
 
@@ -207,20 +205,9 @@ def abelian_scan(module: TModule, max_index: int = 8,
     return AbelianScanReport(InconclusiveScan(max_index, degree_cap), rows)
 
 
-def rank_report(module: TModule, max_index: int = 8, index=None):
-    """Size of the exhibited finite generating set of the row module.
-
-    With index given, that exponent is certified directly and a singular
-    leading matrix raises; otherwise the scan runs up to max_index and
-    None is returned when no certificate appears.
-    """
-    if index is not None:
-        act = module.t_power(index)
-        d = act.degree
-        if d < 1 or gauss_det(module.tower, act.leading()).is_zero():
-            raise NonInvertibleLeading(
-                "requested action power has no invertible leading matrix")
-        return module.dimension * d
+def rank_report(module: TModule, max_index: int = 8):
+    """Size of the exhibited finite generating set of the row module,
+    from a scan up to max_index; None when no certificate appears."""
     report = abelian_scan(module, max_index)
     if isinstance(report.outcome, AbelianCertificate):
         return report.outcome.generators

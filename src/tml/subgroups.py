@@ -196,13 +196,3 @@ def minimal_j_scan(subgroup: KernelSubgroup, max_j=None,
             break
     searched = rows[-1].j if rows else 0
     return MinimalJScan(found, searched, hint, tuple(rows))
-
-
-@dataclass(frozen=True)
-class TorsionSubvariety:
-    """A subgroup carrying verified torsion points while no scanned
-    monomial exponent stabilizes it."""
-    subgroup: KernelSubgroup
-    points: tuple
-    orders: tuple
-    scan: MinimalJScan

@@ -111,14 +111,7 @@ class TModule:
         if a.field != self.tower.fq:
             raise FieldMismatch("polynomial over a different F_q")
         ident = OrePoly.identity(self.tower, self.dimension)
-        if a.is_zero():
-            return OrePoly.zero(self.tower, self.dimension, self.dimension)
-        acc = ident.scale(self.tower.const(a.coeffs[-1]))
-        for c in reversed(a.coeffs[:-1]):
-            acc = acc * self.phi_t
-            if c:
-                acc = acc + ident.scale(self.tower.const(c))
-        return acc
+        return a.at(self.phi_t, lambda c: ident.scale(self.tower.const(c)))
 
     def differential(self, a: Poly) -> Mat:
         """The tangent action: the base polynomial evaluated at a_0."""

@@ -29,8 +29,7 @@ from .errors import BadParameter, CertificateError, FieldMismatch
 from .fields import FieldTower, Poly, pth_root
 from .linalg import Mat
 from .ore import OrePoly
-from .subgroups import (KernelSubgroup, MinimalJScan, TorsionSubvariety,
-                        minimal_j_scan)
+from .subgroups import KernelSubgroup, MinimalJScan, minimal_j_scan
 from .tmodule import TModule, carlitz, drinfeld, product
 
 
@@ -268,16 +267,8 @@ def root_action(ext: FieldTower, b: Poly) -> OrePoly:
     composition in U + tau."""
     if b.field != ext.fq:
         raise FieldMismatch("polynomial over a different F_q")
-    if b.is_zero():
-        return OrePoly.zero(ext, 1, 1)
-    step = root_action_step(ext)
     ident = OrePoly.identity(ext, 1)
-    acc = ident.scale(ext.const(b.coeffs[-1]))
-    for c in reversed(b.coeffs[:-1]):
-        acc = acc * step
-        if c:
-            acc = acc + ident.scale(ext.const(c))
-    return acc
+    return b.at(root_action_step(ext), lambda c: ident.scale(ext.const(c)))
 
 
 def sqrt_twist(ext: FieldTower) -> TModule:
@@ -329,7 +320,7 @@ def square_root_family(ext: FieldTower, z,
     curve = curve_of_squares(module)
     pt = (z, r)
     if not curve.contains(pt):
-        raise AssertionError("pair is not on the curve of squares")
+        raise CertificateError("pair is not on the curve of squares")
     cert = torsion_order_search(module, pt, order_cap)
     if not isinstance(cert, TorsionCertificate):
         raise ValueError("element is not torsion within the searched degree")
@@ -366,6 +357,16 @@ def square_family_points(ext: FieldTower):
     return (level1, level2)
 
 
+@dataclass(frozen=True)
+class TorsionSubvariety:
+    """A subgroup carrying verified torsion points while no scanned
+    monomial exponent stabilizes it."""
+    subgroup: KernelSubgroup
+    points: tuple
+    orders: tuple
+    scan: MinimalJScan
+
+
 def certify_torsion_subvariety(base: FieldTower, max_j: int = 6,
                                witness_bound=None,
                                order_cap: int = 4) -> TorsionSubvariety:
@@ -379,18 +380,18 @@ def certify_torsion_subvariety(base: FieldTower, max_j: int = 6,
     orders = []
     for pt in square_family_points(ext):
         if not curve.contains(pt):
-            raise AssertionError("family point is not on the curve")
+            raise CertificateError("family point is not on the curve")
         cert = torsion_order_search(module, pt, order_cap)
         if not isinstance(cert, TorsionCertificate):
-            raise AssertionError("family point is not torsion within the cap")
+            raise CertificateError("family point is not torsion within the cap")
         points.append(pt)
         orders.append(cert.order)
     degs = [o.degree for o in orders]
     if sorted(set(degs)) != degs:
-        raise AssertionError("family orders do not strictly grow")
+        raise CertificateError("family orders do not strictly grow")
     scan = minimal_j_scan(curve, max_j=max_j, witness_bound=witness_bound)
     if scan.found is not None:
-        raise AssertionError("curve unexpectedly admits a stability witness")
+        raise CertificateError("curve unexpectedly admits a stability witness")
     return TorsionSubvariety(curve, tuple(points), tuple(orders), scan)
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import shlex
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import pytest
 from tml.cli import main
 
 ROOT_TWIST = "src/tml/manifests/root_twist.tml"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _run(capsys, *argv):
@@ -236,3 +239,40 @@ def test_power_beyond_degree_cap_is_parse_error(capsys):
     assert out == ""
     assert err == ("parse error: power of degree 99999999999 exceeds "
                    "the cap of 10000 (col 2)\n")
+
+
+def _readme_examples():
+    """(argv, stdout) for every indented '$ tml ...' block in README.md:
+    the command line, then its output up to the next unindented line."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    prompt = "    $ tml "
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith(prompt):
+            continue
+        out = []
+        for nxt in lines[i + 1:]:
+            if not nxt.startswith("    ") or nxt.startswith("    $ "):
+                break
+            out.append(nxt[4:] + "\n")
+        examples.append((shlex.split(line[len(prompt):]), "".join(out)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_its_three_examples():
+    assert [argv[0] for argv, _ in README_EXAMPLES] == [
+        "stability", "j-bound", "torsion"]
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_example_output_is_exact(capsys, monkeypatch, argv,
+                                        expected):
+    monkeypatch.chdir(REPO)
+    monkeypatch.delenv("TML_COLOR", raising=False)
+    _, out, _ = _run(capsys, *argv)
+    assert out == expected

@@ -4,7 +4,7 @@ from tml.corpus import axis_subgroup, graph_modules, tensor_square
 from tml.exponential import (ExpSeries, RestrictionVerdict,
                              exp_restriction_check, exp_series,
                              verify_functional_equation)
-from tml.fields import Poly
+from tml.fields import FieldTower, FiniteField, Poly
 from tml.linalg import Mat
 from tml.subgroups import KernelSubgroup
 from tml.tmodule import carlitz, carlitz_tensor
@@ -19,6 +19,20 @@ def test_rank_one_coefficients_match_closed_form(tower2):
     assert series.coeff(1)[0, 0] == (t ** 2 + t).inverse()
     d2 = (t ** 4 + t) * (t ** 4 + t ** 2)
     assert series.coeff(2)[0, 0] == d2.inverse()
+
+
+@pytest.mark.parametrize("q, order", [(2, 7), (3, 5), (5, 3)])
+def test_carlitz_coefficients_are_reciprocal_products(q, order):
+    # E_i = 1/D_i with D_i = prod_{j<i} (T^(q^i) - T^(q^j)) (Goss, Basic
+    # Structures of Function Field Arithmetic, section 3)
+    tower = FieldTower(FiniteField(q))
+    series = exp_series(carlitz(tower), order)
+    t = tower.T()
+    for i in range(order + 1):
+        d = tower.one()
+        for j in range(i):
+            d = d * (t ** (q ** i) - t ** (q ** j))
+        assert series.coeff(i) == Mat(((d.inverse(),),))
 
 
 def test_functional_equation_holds(tower2):

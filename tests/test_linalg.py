@@ -1,7 +1,8 @@
 import random
 
 from tml.fields import Poly, RatFunc
-from tml.linalg import Mat, gauss_det, gauss_inverse, gauss_solve, kernel_basis
+from tml.linalg import (Mat, gauss_inverse, gauss_solve, kernel_basis,
+                        matrix_rank)
 
 
 def _rand_elem(rng, tower):
@@ -57,26 +58,19 @@ def test_gauss_inverse_round_trip(tower2, rng):
         m = _rand_mat(rng, tower2, 3)
         inv = gauss_inverse(tower2, m)
         if inv is None:
-            assert gauss_det(tower2, m).is_zero()
+            assert matrix_rank(m) < 3
             continue
+        assert matrix_rank(m) == 3
         found += 1
         assert m @ inv == ident
         assert inv @ m == ident
     assert found >= 5
 
 
-def test_gauss_det_multiplicative(tower3, rng):
-    for _ in range(10):
-        a = _rand_mat(rng, tower3, 2)
-        b = _rand_mat(rng, tower3, 2)
-        assert gauss_det(tower3, a @ b) == \
-            gauss_det(tower3, a) * gauss_det(tower3, b)
-
-
 def test_det_of_singular_matrix(tower2):
     o = tower2.one()
     m = Mat(((o, o), (o, o)))
-    assert gauss_det(tower2, m).is_zero()
+    assert matrix_rank(m) == 1
     assert gauss_inverse(tower2, m) is None
 
 

@@ -156,6 +156,25 @@ def test_malformed_json_sections_rejected(doc, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("doc, text, message", [
+    ({"polys": {"b": "1/T"}}, "1/T",
+     "base polynomial may not have a denominator (col 1)"),
+    ({"polys": {"b": "T^^2"}}, "T^^2",
+     "'^' requires an unsigned integer exponent (col 2)"),
+    ({"modules": {"C": {"m": 1, "a0": "T^^2"}}}, "T^^2",
+     "'^' requires an unsigned integer exponent (col 2)"),
+    ({"polys": {"b": "T + X"}}, "T + X", "unknown name 'X' (col 5)"),
+], ids=["poly-denominator", "poly-caret", "module-caret", "unknown-name"])
+def test_json_columns_match_literal_expressions(f2, doc, text, message):
+    # a JSON value has no line; its columns count from 1 like --poly's
+    with pytest.raises(ParseError) as info:
+        parse_manifest(json.dumps({"field": {"p": 2}, **doc}))
+    assert str(info.value) == message
+    with pytest.raises(ParseError) as literal:
+        poly_from_text(f2, text)
+    assert str(literal.value) == message
+
+
 def test_power_degree_cap(f2):
     # the cap counts the degree the power reaches: exponent times the
     # total degree of its base in T and the tower generators

@@ -1,9 +1,6 @@
 import random
 
-import pytest
-
 from tml.corpus import corner_module, squared_variable_module, tensor_square
-from tml.errors import NonInvertibleLeading
 from tml.fields import Poly
 from tml.linalg import Mat
 from tml.structure import (AbelianCertificate, InconclusiveScan,
@@ -136,9 +133,6 @@ def test_rank_report_paths(tower2):
     assert rank_report(tensor_square(tower2)) == 2
     assert rank_report(carlitz(tower2)) == 1
     assert rank_report(corner_module(tower2)) is None
-    assert rank_report(tensor_square(tower2), index=2) == 2
-    with pytest.raises(NonInvertibleLeading):
-        rank_report(tensor_square(tower2), index=1)
 
 
 def test_generator_counts_over_squared_variable(tower2):

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from tml.errors import BadParameter
+from tml.errors import BadParameter, CertificateError
 
 from tml.corpus import random_element
 from tml.fields import FieldTower, FiniteField, Poly, RatFunc, pth_root
@@ -169,6 +169,12 @@ def test_certified_subvariety_never_stabilizes(tower2):
     assert cert.scan.searched_to == 4
     assert [o.degree for o in cert.orders] == [1, 2]
     assert len(cert.points) == 2
+
+
+def test_family_beyond_the_order_cap_is_a_certificate_error(tower2):
+    # the second family point has order T^2, so a cap of 1 cannot certify it
+    with pytest.raises(CertificateError, match="not torsion within the cap"):
+        certify_torsion_subvariety(tower2, order_cap=1)
 
 
 def test_root_kernel_degrees_grow(tower2):
