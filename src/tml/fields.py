@@ -2,15 +2,21 @@
 explicit towers of finite extensions on top of it.
 
 Elements of F_q are plain ints in [0, q) packing the polynomial-basis
-coefficients base p.  Polynomials are dense coefficient tuples, lowest
-degree first, with no trailing zeros.  Rational functions keep a monic,
-coprime denominator at all times.  Tower elements are nested reduced
-polynomials in the step generators.
+coefficients base p.  A polynomial holds the native form of its field
+kind, chosen once when it is built: over F_2 one int whose bit i is the
+T**i coefficient, so that addition is XOR and multiplication, division
+and gcd are shifts and XORs of that int; over any other field a tuple of
+coefficients, lowest degree first, with no trailing zeros, which the
+kernels reduce with inline % p over a prime field and combine through
+FiniteField's tables over an extension field.  Rational functions keep a
+monic, coprime denominator at all times.  Tower elements are nested
+reduced polynomials in the step generators.
 """
 
 from __future__ import annotations
 
-from .errors import CertificateError, FieldMismatch, ShapeMismatch, ZeroDivisor
+from .errors import (BadParameter, CertificateError, FieldMismatch,
+                     ShapeMismatch, ZeroDivisor)
 
 DEFAULT_P_LIMIT = 13
 DEFAULT_E_LIMIT = 4
@@ -28,31 +34,67 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p with int-tuple coefficients, used only for moduli
+# kernels on the native forms of F_q[T]: coefficient tuples over F_p with
+# inline % p, and bit-packed ints over F_2
 
 
-def _fp_strip(c):
+def _strip(c):
     k = len(c)
-    while k and c[k - 1] == 0:
+    while k and not c[k - 1]:
         k -= 1
     return tuple(c[:k])
 
 
-def _fp_mod(a, b, p):
-    # remainder of a by b, b monic-normalized on the fly
-    a = list(a)
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of reduced, stripped coefficient tuples over
+    F_p.  The remainder is reduced mod p once, at the end."""
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] * inv_lead % p
-        off = len(a) - 1 - db
-        for i, bi in enumerate(b):
-            a[off + i] = (a[off + i] - f * bi) % p
-        a.pop()
-    return _fp_strip(a)
+    n = len(a) - db
+    if n <= 0:
+        return (), a
+    inv = pow(b[-1], p - 2, p)
+    low = b[:-1]
+    rem = list(a)
+    quo = [0] * n
+    for off in range(n - 1, -1, -1):
+        c = rem[off + db] * inv % p
+        if c:
+            quo[off] = c
+            rem[off:off + db] = [r - c * y for r, y in zip(rem[off:off + db], low)]
+    return tuple(quo), _strip([r % p for r in rem[:db]])
+
+
+def _gf2_mul(a, b):
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def _gf2_divmod(a, b):
+    db = b.bit_length()
+    q = 0
+    sh = a.bit_length() - db
+    while sh >= 0:
+        q |= 1 << sh
+        a ^= b << sh
+        sh = a.bit_length() - db
+    return q, a
+
+
+def _gf2_gcd(a, b):
+    while b:
+        db = b.bit_length()
+        sh = a.bit_length() - db
+        while sh >= 0:
+            a ^= b << sh
+            sh = a.bit_length() - db
+        a, b = b, a
+    return a
 
 
 def _fp_is_irreducible(poly, p):
@@ -63,7 +105,7 @@ def _fp_is_irreducible(poly, p):
     for d in range(1, deg // 2 + 1):
         for k in range(p ** d):
             div = _digits(k, p, d) + (1,)
-            if not _fp_mod(poly, div, p):
+            if not _fp_divmod(poly, div, p)[1]:
                 return False
     return True
 
@@ -184,7 +226,7 @@ class FiniteField:
             red = []
             for k in range(e, 2 * e - 1):
                 mono = (0,) * k + (1,)
-                red.append(_fp_mod(mono, self.modulus, p))
+                red.append(_fp_divmod(mono, self.modulus, p)[1])
             self._high_red = tuple(red)
         out = list(conv[:e])
         for k in range(e, 2 * e - 1):
@@ -256,111 +298,138 @@ class FiniteField:
 
 
 # ---------------------------------------------------------------------------
-# packed-bit helpers for polynomials over F_2 (the hot case)
+# polynomials
 
 
-def _gf2_pack(coeffs):
-    n = 0
-    for i, c in enumerate(coeffs):
-        if c:
-            n |= 1 << i
-    return n
+_new = object.__new__
 
 
-def _gf2_unpack(n):
-    if n == 0:
-        return ()
-    return tuple((n >> i) & 1 for i in range(n.bit_length()))
-
-
-def _gf2_mul(a, b):
-    out = 0
-    while a:
-        low = a & -a
-        out ^= b << (low.bit_length() - 1)
-        a ^= low
+def _poly(field, rep):
+    """A Poly from a native form that is already reduced and stripped."""
+    out = _new(Poly)
+    out.field = field
+    out.rep = rep
     return out
 
 
-def _gf2_divmod(a, b):
-    db = b.bit_length() - 1
-    q = 0
-    while a and a.bit_length() - 1 >= db:
-        sh = a.bit_length() - 1 - db
-        q |= 1 << sh
-        a ^= b << sh
-    return q, a
+def _unit_inverse(f, c):
+    return pow(c, f.p - 2, f.p) if f.e == 1 else f.inv(c)
 
 
-def _gf2_gcd(a, b):
-    while b:
-        a, b = b, _gf2_divmod(a, b)[1]
-    return a
+def _power(x, n, one):
+    """x**n by repeated squaring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 class Poly:
-    """Dense polynomial in T over F_q; coefficients low degree first."""
+    """Polynomial in T over F_q, held in the native form of its field kind.
 
-    __slots__ = ("field", "coeffs")
+    rep is one int whose bit i is the T**i coefficient when q == 2, and
+    otherwise a tuple of encoded coefficients, lowest degree first, with
+    no trailing zeros.  Over F_2 the kernels are shifts and XORs of that
+    int; over an odd prime field they reduce with inline % p; over an
+    extension field they go through FiniteField's tables.
+    """
+
+    __slots__ = ("field", "rep", "_coeffs")
 
     def __init__(self, field, coeffs):
-        k = len(coeffs)
-        while k and coeffs[k - 1] == 0:
-            k -= 1
+        """coeffs lists the T**0, T**1, ... coefficients: any ints over a
+        prime field, reduced mod p, or encoded elements of [0, q) over an
+        extension field."""
+        if field.e == 1:
+            cs = [c % field.p for c in coeffs]
+        else:
+            cs = list(coeffs)
+            for c in cs:
+                if not 0 <= c < field.q:
+                    raise BadParameter(f"coefficient {c} is not an encoded "
+                                       f"element of F_{field.q}")
         self.field = field
-        self.coeffs = tuple(coeffs[:k])
+        if field.q == 2:
+            self.rep = int("".join(map(str, reversed(cs))) or "0", 2)
+        else:
+            self.rep = _strip(cs)
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return _poly(field, 0 if field.q == 2 else ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return _poly(field, 1 if field.q == 2 else (1,))
 
     @classmethod
     def gen(cls, field):
-        return cls(field, (0, 1))
+        return _poly(field, 2 if field.q == 2 else (0, 1))
 
     @classmethod
     def constant(cls, field, c):
-        return cls(field, (c,) if c else ())
+        return cls(field, (c,))
+
+    @property
+    def coeffs(self):
+        """The coefficient tuple, lowest degree first, no trailing zeros."""
+        rep = self.rep
+        if self.field.q != 2:
+            return rep
+        try:
+            return self._coeffs
+        except AttributeError:
+            self._coeffs = tuple(map(int, bin(rep)[:1:-1])) if rep else ()
+            return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        rep = self.rep
+        return rep.bit_length() - 1 if self.field.q == 2 else len(rep) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rep
 
     def lc(self) -> int:
-        if not self.coeffs:
+        if not self.rep:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return 1 if self.field.q == 2 else self.rep[-1]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.rep) and (self.field.q == 2 or self.rep[-1] == 1)
 
     def _check(self, other):
-        if self.field != other.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("polynomials over different fields")
 
     def __add__(self, other):
         self._check(other)
         f = self.field
-        a, b = self.coeffs, other.coeffs
+        a, b = self.rep, other.rep
+        if f.q == 2:
+            return _poly(f, a ^ b)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        if f.e == 1:
+            p = f.p
+            low = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            low = [f.add(x, y) for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return _poly(f, tuple(low) + a[len(b):])
+        return _poly(f, _strip(low))
 
     def __neg__(self):
         f = self.field
         if f.p == 2:
             return self
-        return Poly(f, tuple(f.neg(c) for c in self.coeffs))
+        if f.e == 1:
+            p = f.p
+            return _poly(f, tuple(p - c if c else 0 for c in self.rep))
+        return _poly(f, tuple(f.neg(c) for c in self.rep))
 
     def __sub__(self, other):
         return self + (-other)
@@ -368,60 +437,70 @@ class Poly:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(f)
-        if f.p == 2 and f.e == 1:
-            return Poly(f, _gf2_unpack(_gf2_mul(_gf2_pack(a), _gf2_pack(b))))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return Poly(f, out)
+        a, b = self.rep, other.rep
+        if not a:
+            return self
+        if not b:
+            return other
+        if f.q == 2:
+            return _poly(f, _gf2_mul(a, b))
+        if len(a) < len(b):
+            a, b = b, a
+        n = len(a)
+        out = [0] * (n + len(b) - 1)
+        if f.e == 1:
+            # accumulate unreduced ints, then reduce each coefficient once
+            for i, y in enumerate(b):
+                if y:
+                    out[i:i + n] = [s + x * y for s, x in zip(out[i:i + n], a)]
+            p = f.p
+            return _poly(f, tuple(c % p for c in out))
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a):
+                    if x:
+                        out[i + j] = f.add(out[i + j], f.mul(x, y))
+        return _poly(f, tuple(out))
 
     def scale(self, c: int):
         f = self.field
+        if f.e == 1:
+            c %= f.p
         if c == 0:
             return Poly.zero(f)
         if c == 1:
             return self
-        return Poly(f, tuple(f.mul(a, c) for a in self.coeffs))
+        if f.e == 1:
+            p = f.p
+            return _poly(f, tuple(x * c % p for x in self.rep))
+        return _poly(f, tuple(f.mul(x, c) for x in self.rep))
 
     def __pow__(self, n: int):
-        out = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Poly.one(self.field))
 
     def __divmod__(self, other):
         self._check(other)
         f = self.field
-        if other.is_zero():
+        a, b = self.rep, other.rep
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if f.p == 2 and f.e == 1:
-            q, r = _gf2_divmod(_gf2_pack(self.coeffs), _gf2_pack(other.coeffs))
-            return Poly(f, _gf2_unpack(q)), Poly(f, _gf2_unpack(r))
-        rem = list(self.coeffs)
-        db = other.degree
-        qc = [0] * max(len(rem) - db, 0)
-        inv_lead = f.inv(other.lc())
-        while len(rem) - 1 >= db and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = f.mul(rem[-1], inv_lead)
-            off = len(rem) - 1 - db
-            qc[off] = c
-            for i, bi in enumerate(other.coeffs):
-                rem[off + i] = f.sub(rem[off + i], f.mul(c, bi))
-            rem.pop()
-        return Poly(f, qc), Poly(f, rem)
+        if f.q == 2:
+            q, r = _gf2_divmod(a, b)
+        elif f.e == 1:
+            q, r = _fp_divmod(a, b, f.p)
+        else:
+            rem = list(a)
+            db = len(b) - 1
+            q = [0] * max(len(rem) - db, 0)
+            inv_lead = f.inv(b[-1])
+            for off in range(len(q) - 1, -1, -1):
+                c = f.mul(rem[off + db], inv_lead)
+                if c:
+                    q[off] = c
+                    for i, bi in enumerate(b):
+                        rem[off + i] = f.sub(rem[off + i], f.mul(c, bi))
+            q, r = tuple(q), _strip(rem[:db])
+        return _poly(f, q), _poly(f, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -439,60 +518,62 @@ class Poly:
         """Monic greatest common divisor."""
         self._check(other)
         f = self.field
-        if f.p == 2 and f.e == 1:
-            g = _gf2_gcd(_gf2_pack(self.coeffs), _gf2_pack(other.coeffs))
-            return Poly(f, _gf2_unpack(g))
+        if f.q == 2:
+            return _poly(f, _gf2_gcd(self.rep, other.rep))
         a, b = self, other
-        while not b.is_zero():
+        while b.rep:
             a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.scale(f.inv(a.lc()))
+        return a.monic()
 
     def monic(self):
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(self.field.inv(self.lc()))
+        return self.scale(_unit_inverse(self.field, self.rep[-1]))
 
     def stretch(self, k: int):
         """Substitute T -> T**k; with k = q**i this is the i-fold Frobenius."""
-        if k == 1 or self.is_zero():
+        rep = self.rep
+        if k == 1 or not rep:
             return self
-        out = [0] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Poly(self.field, out)
+        if self.field.q == 2:
+            # bit i moves to bit i*k: k - 1 zeros between binary digits
+            return _poly(self.field, int(("0" * (k - 1)).join(bin(rep)[2:]), 2))
+        out = [0] * ((len(rep) - 1) * k + 1)
+        out[::k] = rep
+        return _poly(self.field, tuple(out))
 
     def at(self, x, const):
         """Horner's rule at x in any ring with * and +, where const(c)
         embeds an encoded coefficient; zero coefficients add nothing."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return const(0)
-        acc = const(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
+        acc = const(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
             acc = acc * x
             if c:
                 acc = acc + const(c)
         return acc
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, Poly) and self.rep == other.rep
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field.key, self.coeffs))
+        return hash((self.field.key, self.rep))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.rep)
 
     def to_expr(self) -> str:
         """Canonical expression string, highest degree first."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         f = self.field
         terms = []
-        for i in reversed(range(len(self.coeffs))):
-            c = self.coeffs[i]
+        for i in reversed(range(len(coeffs))):
+            c = coeffs[i]
             if c == 0:
                 continue
             cs = f.fmt(c)
@@ -524,24 +605,33 @@ class RatFunc:
             return
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.field != den.field:
-            raise FieldMismatch("numerator and denominator over different fields")
         f = num.field
+        if den.field is not f and den.field != f:
+            raise FieldMismatch("numerator and denominator over different fields")
+        if f.q == 2:
+            # every nonzero polynomial over F_2 is monic
+            a, b = num.rep, den.rep
+            if not a:
+                den = Poly.one(f)
+            elif b != 1:
+                g = _gf2_gcd(a, b)
+                if g != 1:
+                    num = _poly(f, _gf2_divmod(a, g)[0])
+                    den = _poly(f, _gf2_divmod(b, g)[0])
+            self.num = num
+            self.den = den
+            return
         if num.is_zero():
             self.num = num
             self.den = Poly.one(f)
             return
-        if den.degree == 0:
-            c = f.inv(den.coeffs[0])
-            self.num = num.scale(c)
-            self.den = Poly.one(f)
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
+        if den.degree > 0:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num.divexact(g)
+                den = den.divexact(g)
         if not den.is_monic():
-            c = f.inv(den.lc())
+            c = _unit_inverse(f, den.lc())
             num = num.scale(c)
             den = den.scale(c)
         self.num = num
@@ -574,8 +664,15 @@ class RatFunc:
         return self.den.degree == 0
 
     def __add__(self, other):
+        if self.field is other.field:
+            if other.is_zero():
+                return self
+            if self.is_zero():
+                return other
         if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
+            # a sum of polynomials is already reduced
+            return RatFunc(self.num + other.num, self.den,
+                           trusted=self.is_poly())
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
@@ -586,6 +683,8 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
+        if self.is_poly() and other.is_poly():
+            return RatFunc(self.num * other.num, self.den, trusted=True)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def inverse(self):
@@ -616,22 +715,9 @@ class RatFunc:
         """
         f = self.field
         p = f.p
-        num = self.num * self.den ** (p - 1)
-        parts = []
-        for r in range(p):
-            root_coeffs = {}
-            for i, c in enumerate(num.coeffs):
-                if c and i % p == r:
-                    root_coeffs[(i - r) // p] = f.pth_root(c)
-            if root_coeffs:
-                size = max(root_coeffs) + 1
-                cs = [0] * size
-                for k, v in root_coeffs.items():
-                    cs[k] = v
-                parts.append(RatFunc(Poly(f, cs), self.den))
-            else:
-                parts.append(RatFunc.zero(f))
-        return tuple(parts)
+        coeffs = (self.num * self.den ** (p - 1)).coeffs
+        return tuple(RatFunc(Poly(f, [f.pth_root(c) for c in coeffs[r::p]]),
+                             self.den) for r in range(p))
 
     def pth_root(self):
         """The y with y**p == x, or None when x is not a p-th power."""
@@ -875,11 +961,12 @@ class TowerElement:
 
     def data_key(self):
         if self.tower.parent is None:
-            return (self.data.num.coeffs, self.data.den.coeffs)
+            return (self.data.num.rep, self.data.den.rep)
         return tuple(c.data_key() for c in self.data)
 
     def _check(self, other):
-        if not isinstance(other, TowerElement) or self.tower != other.tower:
+        if not isinstance(other, TowerElement) or (
+                other.tower is not self.tower and other.tower != self.tower):
             raise FieldMismatch("tower elements from different towers")
 
     def is_zero(self) -> bool:
@@ -923,14 +1010,7 @@ class TowerElement:
         return self._from_coeffs(conv)
 
     def __pow__(self, n: int):
-        out = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.tower.one())
 
     def inverse(self):
         """Extended Euclid against the defining polynomial at each level."""
@@ -1030,7 +1110,8 @@ class TowerElement:
         return t.unflatten(vec)
 
     def __eq__(self, other):
-        if not isinstance(other, TowerElement) or self.tower != other.tower:
+        if not isinstance(other, TowerElement) or (
+                other.tower is not self.tower and other.tower != self.tower):
             return False
         return self.data == other.data
 

@@ -314,8 +314,8 @@ def square_root_family(ext: FieldTower, z,
     square root of T and embed first) or when a check fails."""
     r = pth_root(z)
     if r is None:
-        raise ValueError("element has no p-th root here; adjoin a square "
-                         "root of T and embed the element there first")
+        raise BadParameter("element has no p-th root here; adjoin a square "
+                           "root of T and embed the element there first")
     module = counterexample_module(ext)
     curve = curve_of_squares(module)
     pt = (z, r)
@@ -323,7 +323,7 @@ def square_root_family(ext: FieldTower, z,
         raise CertificateError("pair is not on the curve of squares")
     cert = torsion_order_search(module, pt, order_cap)
     if not isinstance(cert, TorsionCertificate):
-        raise ValueError("element is not torsion within the searched degree")
+        raise BadParameter("element is not torsion within the searched degree")
     return SquareRootFamily(pt, cert)
 
 

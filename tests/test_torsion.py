@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from tml.errors import BadParameter, CertificateError
+from tml.errors import BadParameter, CertificateError, TmlError
 
 from tml.corpus import random_element
 from tml.fields import FieldTower, FiniteField, Poly, RatFunc, pth_root
@@ -152,8 +152,22 @@ def test_curve_membership_and_family_orders(tower2):
 
 def test_square_root_family_requires_a_root(tower2):
     ext = _ext2(tower2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter, match="no p-th root"):
         square_root_family(ext, ext.gen())
+
+
+@pytest.mark.parametrize("make", [lambda t: t.inverse(),
+                                  lambda t: t * t + t,
+                                  lambda t: t ** 3],
+                         ids=["1/T", "T^2+T", "T^3"])
+def test_square_root_family_rejects_non_torsion(tower2, make):
+    # each has a square root in the tower but no order of degree <= 2;
+    # the error is a TmlError and still a ValueError
+    ext = _ext2(tower2)
+    with pytest.raises(BadParameter, match="not torsion") as info:
+        square_root_family(ext, make(ext.T()), order_cap=2)
+    assert isinstance(info.value, TmlError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_square_root_family_certifies(tower2):
