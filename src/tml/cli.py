@@ -26,7 +26,7 @@ from .corpus import run_corpus, scalar_text
 from .errors import ParseError, TmlError
 from .exponential import (RestrictionVerdict, exp_restriction_check,
                           exp_series, verify_functional_equation)
-from .manifest import Manifest, parse_manifest, poly_from_text
+from .manifest import Manifest, load_manifest, parse_manifest, poly_from_text
 from .ore import OrePoly
 from .structure import (AbelianCertificate, InconclusiveScan,
                         NonabelianCertificate, abelian_scan)
@@ -83,12 +83,7 @@ def _default_manifest_text() -> str:
 
 def _load_manifest(args) -> Manifest:
     if getattr(args, "manifest", None):
-        try:
-            with open(args.manifest, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read manifest: {exc}") from None
-        return parse_manifest(text)
+        return load_manifest(args.manifest)
     return parse_manifest(_default_manifest_text())
 
 

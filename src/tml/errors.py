@@ -51,6 +51,10 @@ class ParseError(TmlError):
         self.col = col
 
 
+class InputError(TmlError):
+    """An input file could not be read or decoded."""
+
+
 class BadParameter(TmlError, ValueError):
     """A numeric parameter is out of range, such as a negative bound."""
 

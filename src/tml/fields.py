@@ -9,14 +9,17 @@ and gcd are shifts and XORs of that int; over any other field a tuple of
 coefficients, lowest degree first, with no trailing zeros, which the
 kernels reduce with inline % p over a prime field and combine through
 FiniteField's tables over an extension field.  Rational functions keep a
-monic, coprime denominator at all times.  Tower elements are nested
-reduced polynomials in the step generators.
+monic, coprime denominator at all times.  A tower element above F_q(T) is
+the tuple of its coordinates over F_q(T) in the tower's monomial basis:
+products go through a cached table of basis products, and an inverse is
+one exact linear solve.
 """
 
 from __future__ import annotations
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
                      ShapeMismatch, ZeroDivisor)
+from .linalg import gauss_solve
 
 DEFAULT_P_LIMIT = 13
 DEFAULT_E_LIMIT = 4
@@ -134,7 +137,7 @@ class FiniteField:
     """
 
     __slots__ = ("p", "e", "q", "modulus", "gen_name", "key", "_mul_table",
-                 "_inv_table", "_high_red")
+                 "_add_table", "_neg_table", "_inv_table", "_high_red")
 
     def __init__(self, p, e=1, modulus=None, gen_name=None,
                  limits=(DEFAULT_P_LIMIT, DEFAULT_E_LIMIT)):
@@ -162,7 +165,7 @@ class FiniteField:
             gen_name = "g"
         self.gen_name = gen_name
         self.key = (p, e, modulus)
-        self._mul_table = None
+        self._mul_table = self._add_table = self._neg_table = None
         self._inv_table = None
         # reductions of gen**e .. gen**(2e-2) as encoded ints
         self._high_red = None
@@ -188,6 +191,13 @@ class FiniteField:
             return a ^ b
         if self.e == 1:
             return (a + b) % self.p
+        if self.q <= 256:
+            if self._add_table is None:
+                self._build_tables()
+            return self._add_table[a][b]
+        return self._add_slow(a, b)
+
+    def _add_slow(self, a, b):
         p = self.p
         da = _digits(a, p, self.e)
         db = _digits(b, p, self.e)
@@ -198,6 +208,10 @@ class FiniteField:
             return a
         if self.e == 1:
             return (-a) % self.p
+        if self.q <= 256:
+            if self._neg_table is None:
+                self._build_tables()
+            return self._neg_table[a]
         p = self.p
         return _undigits(tuple((-x) % p for x in _digits(a, p, self.e)), p)
 
@@ -239,6 +253,8 @@ class FiniteField:
     def _build_tables(self):
         q = self.q
         self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
+        self._add_table = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
+        self._neg_table = [row.index(0) for row in self._add_table]
         inv = [0] * q
         for a in range(1, q):
             inv[a] = self.pow(a, q - 2)
@@ -745,23 +761,41 @@ class RatFunc:
         return f"RatFunc({self.to_expr()})"
 
 
+def _sparse(vec, one):
+    """(j, c) for the nonzero coordinates c of vec, with None for c == 1."""
+    return [(j, None if c == one else c) for j, c in enumerate(vec)
+            if not c.is_zero()]
+
+
+def _add_into(out, x, cell, zero):
+    """out += x * cell, where cell is a sparse vector in _sparse's format;
+    coordinates of out that are still the object zero are overwritten."""
+    for k, c in cell:
+        term = x if c is None else x * c
+        out[k] = term if out[k] is zero else out[k] + term
+
+
 class FieldTower:
     """F_q(T) with a chain of named quotient-ring extension steps.
 
     Each step adjoins a generator with a monic defining polynomial of
     degree at least two over the previous level.  Defining polynomials
-    are not checked for irreducibility; a reducible one surfaces later
-    as a ZeroDivisor raised from some inversion.
+    are not checked for irreducibility, so a level is a quotient ring in
+    which a unit inverts and a zero divisor raises ZeroDivisor.
 
-    Elements are immutable, so zero() and one() are built once per tower
-    and shared.  The Frobenius x -> x**q is q-semilinear over the base
-    field k = F_q(T): frob(sum x_i e_i) = sum x_i**q * frob(e_i) for the
-    monomial basis e_i.  The tower caches the flattened images frob(e_i)
-    as its Frobenius table, keeping only their nonzero coordinates.
+    Above the base, an element is the tuple of its coordinates over the
+    base field k = F_q(T) in the monomial basis e_(j*m + i) = gen**j * f_i,
+    where f_0 .. f_(m-1) is the parent's basis.  The tower caches two
+    sparse tables of such coordinates: the products e_i * e_j, built once
+    from the parent's table and the defining polynomial, and the images
+    frob(e_i) of the q-semilinear Frobenius, frob(sum x_i e_i) =
+    sum x_i**q * frob(e_i).  Elements are immutable, so zero() and one()
+    are built once per tower and shared.
     """
 
-    __slots__ = ("fq", "parent", "name", "modulus", "depth", "_zero", "_one",
-                 "_frob_table", "_basis_pow_cache", "_key")
+    __slots__ = ("fq", "parent", "name", "modulus", "depth", "_dim", "_zero",
+                 "_one", "_mul_table", "_frob_table", "_basis_pow_cache",
+                 "_key")
 
     def __init__(self, fq: FiniteField, _parent=None, _name=None, _modulus=None):
         self.fq = fq
@@ -769,17 +803,21 @@ class FieldTower:
         self.name = _name
         self.modulus = _modulus
         self.depth = 0 if _parent is None else _parent.depth + 1
+        self._mul_table = None
         self._frob_table = None
         self._basis_pow_cache = None
+        zero, one = RatFunc.zero(fq), RatFunc.one(fq)
         if _parent is None:
+            self._dim = 1
             self._key = (fq.key,)
-            self._zero = TowerElement(self, RatFunc.zero(fq))
-            self._one = TowerElement(self, RatFunc.one(fq))
+            self._zero = TowerElement(self, zero)
+            self._one = TowerElement(self, one)
         else:
+            self._dim = _parent._dim * (len(_modulus) - 1)
             self._key = _parent._key + ((_name, tuple(c.data_key() for c in _modulus)),)
-            pad = (_parent._zero,) * (len(_modulus) - 2)
-            self._zero = TowerElement(self, (_parent._zero,) + pad)
-            self._one = TowerElement(self, (_parent._one,) + pad)
+            pad = (zero,) * (self._dim - 1)
+            self._zero = TowerElement(self, (zero,) + pad)
+            self._one = TowerElement(self, (one,) + pad)
 
     def extend(self, name: str, modulus_coeffs) -> "FieldTower":
         """A new tower with one more step.
@@ -800,30 +838,17 @@ class FieldTower:
         return FieldTower(self.fq, _parent=self, _name=name, _modulus=coeffs)
 
     def names(self):
-        out = []
-        t = self
-        while t.parent is not None:
-            out.append(t.name)
-            t = t.parent
-        out.reverse()
-        return tuple(out)
+        return tuple(t.name for t in self.ancestors()[1:])
 
     def step_degree(self) -> int:
         return len(self.modulus) - 1 if self.parent is not None else 1
 
     def total_degree(self) -> int:
-        d = 1
-        t = self
-        while t.parent is not None:
-            d *= t.step_degree()
-            t = t.parent
-        return d
+        """Dimension over the base field F_q(T)."""
+        return self._dim
 
     def base(self) -> "FieldTower":
-        t = self
-        while t.parent is not None:
-            t = t.parent
-        return t
+        return self.ancestors()[0]
 
     def ancestors(self):
         out = []
@@ -838,9 +863,6 @@ class FieldTower:
         return self._key[:len(other._key)] == other._key
 
     # -- element constructors
-
-    def element(self, data) -> "TowerElement":
-        return TowerElement(self, data)
 
     def zero(self):
         return self._zero
@@ -860,15 +882,13 @@ class FieldTower:
             raise FieldMismatch("rational function over a different F_q")
         if self.parent is None:
             return TowerElement(self, rf)
-        below = self.parent.from_ratfunc(rf)
-        return TowerElement(self, (below,) + self._zero.data[1:])
+        return TowerElement(self, (rf,) + self._zero.data[1:])
 
     def gen(self):
         """The generator adjoined by the top step."""
         if self.parent is None:
             return self.T()
-        pz = self.parent.zero()
-        return TowerElement(self, (pz, self.parent.one()) + self._zero.data[2:])
+        return self._unit(self.parent._dim)
 
     def embed(self, elem: "TowerElement") -> "TowerElement":
         """Lift an element of an ancestor tower into this one."""
@@ -876,68 +896,73 @@ class FieldTower:
             return elem
         if not self.extends(elem.tower):
             raise FieldMismatch("element does not live below this tower")
-        chain = self.ancestors()
-        cur = elem
-        for step in chain[len(elem.tower.ancestors()):]:
-            cur = TowerElement(step, (cur,) + step._zero.data[1:])
-        return cur
+        vec = elem.tower.flatten(elem)
+        return TowerElement(self, vec + self._zero.data[len(vec):])
 
-    # -- flattening over the base field k = F_q(T)
+    # -- coordinates over the base field k = F_q(T)
 
     def flatten(self, elem: "TowerElement"):
         """Coordinates of elem in the monomial basis over the base field."""
-        if self.parent is None:
-            return [elem.data]
-        out = []
-        for c in elem.data:
-            out.extend(self.parent.flatten(c))
-        return out
+        return elem.data if self.parent is not None else (elem.data,)
 
     def unflatten(self, vec):
-        """Inverse of flatten; vec is a list of RatFunc of full length."""
-        if len(vec) != self.total_degree():
+        """Inverse of flatten; vec is a sequence of RatFunc of full length."""
+        if len(vec) != self._dim:
             raise ShapeMismatch(f"{len(vec)} coordinates for a tower of "
-                                f"degree {self.total_degree()}")
+                                f"degree {self._dim}")
         if self.parent is None:
             return TowerElement(self, vec[0])
-        d = self.step_degree()
-        block = len(vec) // d
-        parts = tuple(self.parent.unflatten(vec[i * block:(i + 1) * block])
-                      for i in range(d))
-        return TowerElement(self, parts)
+        return TowerElement(self, tuple(vec))
 
-    def basis_pth_powers(self):
-        """Flattened p-th powers of the monomial basis elements, cached."""
-        if self._basis_pow_cache is None:
-            self._basis_pow_cache = self._basis_powers(self.fq.p)
-        return self._basis_pow_cache
+    def _unit(self, i):
+        """The monomial basis element e_i."""
+        vec = self.flatten(self._zero)
+        return self.unflatten(vec[:i] + (RatFunc.one(self.fq),) + vec[i + 1:])
+
+    def mul_table(self):
+        """Entry [i][j] lists (k, c) for the nonzero coordinates c of
+        e_i * e_j; c is None where the coordinate is 1.  Built once from
+        the parent's table and the defining polynomial, cached."""
+        if self._mul_table is None:
+            self._mul_table = ([[[(0, None)]]] if self.parent is None
+                               else self._build_mul_table())
+        return self._mul_table
+
+    def _build_mul_table(self):
+        up, d, m = self.parent, self.step_degree(), self.parent._dim
+        # gen**s for s <= 2d - 2 as d coefficients over the parent: shift
+        # by gen, then replace gen**d by -(sum of mu_t * gen**t)
+        low = self.modulus[:-1]
+        pw = [[up.one()] + [up.zero()] * (d - 1)]
+        for _ in range(2 * d - 2):
+            prev = pw[-1]
+            pw.append([c - prev[-1] * mu
+                       for c, mu in zip([up.zero()] + prev[:-1], low)])
+        fb = [up._unit(i) for i in range(m)]
+        prods = [[x * y for y in fb] for x in fb]
+        one = RatFunc.one(self.fq)
+        # e_(a*m + i) * e_(b*m + j) = f_i * f_j * gen**(a + b)
+        return [[_sparse([x for c in pw[a // m + b // m]
+                          for x in up.flatten(prods[a % m][b % m] * c)], one)
+                 for b in range(self._dim)] for a in range(self._dim)]
 
     def frob_table(self):
         """Row i lists (j, c) for the nonzero coordinates c of frob(e_i);
         c is None where the coordinate is 1.  Built once, cached."""
         if self._frob_table is None:
             one = RatFunc.one(self.fq)
-            self._frob_table = [
-                [(j, None if c == one else c) for j, c in enumerate(row)
-                 if not c.is_zero()]
-                for row in self._basis_powers(self.fq.q)]
+            self._frob_table = [_sparse(v, one)
+                                for v in self._basis_powers(self.fq.q)]
         return self._frob_table
 
-    def _basis_powers(self, k):
-        return [self.flatten(m ** k) for m in self._basis_monomials()]
+    def basis_pth_powers(self):
+        """Coordinates of the p-th powers of the monomial basis, cached."""
+        if self._basis_pow_cache is None:
+            self._basis_pow_cache = self._basis_powers(self.fq.p)
+        return self._basis_pow_cache
 
-    def _basis_monomials(self):
-        if self.parent is None:
-            return [self.one()]
-        below = self.parent._basis_monomials()
-        g = self.gen()
-        out = []
-        gp = self.one()
-        for j in range(self.step_degree()):
-            for b in below:
-                out.append(gp * self.embed(b))
-            gp = gp * g
-        return out
+    def _basis_powers(self, k):
+        return [self.flatten(self._unit(i) ** k) for i in range(self._dim)]
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and self._key == other._key
@@ -951,7 +976,9 @@ class FieldTower:
 
 
 class TowerElement:
-    """Element of a FieldTower in nested reduced representation."""
+    """Element of a FieldTower: a RatFunc at the base level, and above it
+    the tuple of its coordinates over F_q(T) in the tower's monomial
+    basis (see FieldTower)."""
 
     __slots__ = ("tower", "data")
 
@@ -962,7 +989,7 @@ class TowerElement:
     def data_key(self):
         if self.tower.parent is None:
             return (self.data.num.rep, self.data.den.rep)
-        return tuple(c.data_key() for c in self.data)
+        return tuple((c.num.rep, c.den.rep) for c in self.data)
 
     def _check(self, other):
         if not isinstance(other, TowerElement) or (
@@ -972,13 +999,22 @@ class TowerElement:
     def is_zero(self) -> bool:
         if self.tower.parent is None:
             return self.data.is_zero()
-        return all(c.is_zero() for c in self.data)
+        # a coordinate is zero exactly when its numerator's rep is empty
+        return not any(c.num.rep for c in self.data)
 
     def zero(self):
         return self.tower.zero()
 
     def one(self):
         return self.tower.one()
+
+    def parts(self):
+        """The step_degree() coefficients over the parent level, constant
+        term first."""
+        t = self.tower
+        m = t.parent._dim
+        return [t.parent.unflatten(self.data[j * m:(j + 1) * m])
+                for j in range(t.step_degree())]
 
     def __add__(self, other):
         self._check(other)
@@ -1000,114 +1036,62 @@ class TowerElement:
         t = self.tower
         if t.parent is None:
             return TowerElement(t, self.data * other.data)
-        a, b = self.data, other.data
-        conv = [t.parent.zero()] * (2 * t.step_degree() - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero():
-                for j, bj in enumerate(b):
-                    if not bj.is_zero():
-                        conv[i + j] = conv[i + j] + ai * bj
-        return self._from_coeffs(conv)
+        zero = t._zero.data[0]
+        out = list(t._zero.data)
+        for x, row in zip(self.data, t.mul_table()):
+            if x.num.rep:
+                for y, cell in zip(other.data, row):
+                    if y.num.rep:
+                        _add_into(out, x * y, cell, zero)
+        return TowerElement(t, tuple(out))
 
     def __pow__(self, n: int):
         return _power(self, n, self.tower.one())
 
     def inverse(self):
-        """Extended Euclid against the defining polynomial at each level."""
+        """The y with self * y == 1, by one exact linear solve over
+        F_q(T).  A unit has exactly one solution; a zero divisor has
+        none and raises ZeroDivisor."""
         t = self.tower
         if t.parent is None:
             return TowerElement(t, self.data.inverse())
         if self.is_zero():
             raise ZeroDivisor("inverse of zero tower element", self)
-        # work in parent[x]: r0 = modulus, r1 = self, track s with s*self = r mod modulus
-        r0 = list(t.modulus)
-        r1 = list(self.data)
-        pz, po = t.parent.zero(), t.parent.one()
-        s0 = [pz]
-        s1 = [po]
-
-        def _deg(v):
-            d = len(v) - 1
-            while d >= 0 and v[d].is_zero():
-                d -= 1
-            return d
-
-        def _sub_scaled(u, v, c, shift):
-            out = list(u)
-            need = shift + len(v)
-            while len(out) < need:
-                out.append(pz)
-            for i, vi in enumerate(v):
-                out[shift + i] = out[shift + i] - c * vi
-            return out
-
-        while True:
-            d1 = _deg(r1)
-            if d1 < 0:
-                raise ZeroDivisor("defining polynomial is reducible", self)
-            if d1 == 0:
-                c = r1[0].inverse()
-                return self._from_coeffs([c * s for s in s1])
-            d0 = _deg(r0)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            lead1 = r1[d1]
-            inv_lead = lead1.inverse()
-            c = r0[d0] * inv_lead
-            r0 = _sub_scaled(r0, r1, c, d0 - d1)
-            s0 = _sub_scaled(s0, s1, c, d0 - d1)
-            if _deg(r0) < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-
-    def _from_coeffs(self, coeffs):
-        """Build an element of this level from parent coefficients (mod reduce)."""
-        t = self.tower
-        d = t.step_degree()
-        pz = t.parent.zero()
-        work = list(coeffs)
-        mod = t.modulus
-        for top in range(len(work) - 1, d - 1, -1):
-            c = work[top]
-            if not c.is_zero():
-                off = top - d
-                for i in range(d):
-                    work[off + i] = work[off + i] - c * mod[i]
-            work.pop()
-        while len(work) < d:
-            work.append(pz)
-        return TowerElement(t, tuple(work))
+        # cols[j] gathers the coordinates of self * e_j
+        n, zero = t._dim, t._zero.data[0]
+        cols = [list(t._zero.data) for _ in range(n)]
+        for x, row in zip(self.data, t.mul_table()):
+            if x.num.rep:
+                for col, cell in zip(cols, row):
+                    _add_into(col, x, cell, zero)
+        base = t.base()
+        rows = [[TowerElement(base, col[k]) for col in cols] for k in range(n)]
+        sol = gauss_solve(base, rows, [base.one()] + [base.zero()] * (n - 1))
+        if sol is None:
+            raise ZeroDivisor("defining polynomial is reducible", self)
+        return t.unflatten([c.data for c in sol])
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def frob(self, i: int = 1):
-        """The q**i power, computed as a ring homomorphism.
-
-        Above the base the element is flattened to its coordinates over
-        F_q(T) and the tower's Frobenius table is applied i times: each
-        step stretches every nonzero coordinate x_j to x_j**q and adds
-        x_j**q * frob(e_j) into the output coordinates.
-        """
+        """The q**i power, computed as a ring homomorphism: each of the i
+        steps stretches every nonzero coordinate x_j to x_j**q and adds
+        x_j**q * frob(e_j) from the tower's Frobenius table."""
         if i == 0:
             return self
         t = self.tower
         if t.parent is None:
             return TowerElement(t, self.data.frob(i))
-        table = t.frob_table()
-        zero = RatFunc.zero(t.fq)
-        vec = t.flatten(self)
+        table, zero = t.frob_table(), t._zero.data[0]
+        vec = self.data
         for _ in range(i):
-            out = [None] * len(vec)
-            for x, row in zip(vec, table):
-                if x.is_zero():
-                    continue
-                xq = x.frob(1)
-                for j, c in row:
-                    term = xq if c is None else xq * c
-                    out[j] = term if out[j] is None else out[j] + term
-            vec = [zero if y is None else y for y in out]
-        return t.unflatten(vec)
+            out = list(t._zero.data)
+            for x, cell in zip(vec, table):
+                if x.num.rep:
+                    _add_into(out, x.frob(1), cell, zero)
+            vec = tuple(out)
+        return TowerElement(t, vec)
 
     def __eq__(self, other):
         if not isinstance(other, TowerElement) or (
@@ -1128,8 +1112,9 @@ class TowerElement:
         if self.is_zero():
             return "0"
         terms = []
-        for i in reversed(range(len(self.data))):
-            c = self.data[i]
+        parts = self.parts()
+        for i in reversed(range(len(parts))):
+            c = parts[i]
             if c.is_zero():
                 continue
             cs = c.to_expr()
@@ -1182,7 +1167,6 @@ def pth_root(x: TowerElement):
         for r in range(p):
             rows.append([TowerElement(base, gparts[j][r]) for j in range(dim)])
             rhs.append(TowerElement(base, xparts[r]))
-    from .linalg import gauss_solve
     sol = gauss_solve(base, rows, rhs)
     if sol is None:
         return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .fields import FiniteField, FieldTower, Poly
 from .linalg import Mat
 from .subgroups import KernelSubgroup
@@ -80,7 +80,7 @@ def _total_degree(v):
     """Total degree of a tower element in T and the tower generators."""
     if v.tower.parent is None:
         return max(v.data.num.degree, v.data.den.degree)
-    return max((_total_degree(c) + j for j, c in enumerate(v.data)
+    return max((_total_degree(c) + j for j, c in enumerate(v.parts())
                 if not c.is_zero()), default=0)
 
 
@@ -616,5 +616,9 @@ def parse_manifest(text: str) -> Manifest:
 
 
 def load_manifest(path) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read manifest: {exc}") from None
+    return parse_manifest(text)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -133,6 +134,17 @@ def test_missing_manifest_file(capsys):
                         "--module", "X")
     assert code == 2
     assert "cannot read manifest" in err
+
+
+def test_non_utf8_manifest_is_input_error(capsys, tmp_path):
+    path = tmp_path / "noise.tml"
+    path.write_bytes(bytes(random.Random(7).randrange(256) for _ in range(300)))
+    code, out, err = _run(capsys, "validate", "--manifest", str(path),
+                          "--module", "X")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read manifest: 'utf-8' codec")
+    assert err.count("\n") == 1
 
 
 def test_json_format(capsys):

@@ -140,6 +140,20 @@ def test_quotient_ring_zero_divisor(tower2):
         nil.inverse()
 
 
+def test_unit_inverse_over_reducible_lower_step(tower2):
+    # V^2 = T^2 makes V + T nilpotent; over W^2 = V + T the element
+    # 1 + (V + T)*W squares to one, so it is its own inverse
+    t = tower2.T()
+    low = tower2.extend("V", (t * t, tower2.zero(), tower2.one()))
+    nil = low.gen() + low.T()
+    top = low.extend("W", (nil, low.zero(), low.one()))
+    x = top.one() + top.embed(nil) * top.gen()
+    assert x * x == top.one()
+    assert x.inverse() == x
+    with pytest.raises(ZeroDivisor):
+        top.embed(nil).inverse()
+
+
 def test_tower_inverse_round_trip(tower2, rng):
     ext = tower2.extend("U", (tower2.zero() - tower2.T(),
                               tower2.zero(), tower2.one()))
