@@ -17,6 +17,7 @@ TML_COLOR=0 to force plain text).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -393,7 +394,12 @@ def cmd_paper_corpus(args):
 
 # -- argument parsing -------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The tml parser, built once per process and shared by every call,
+    so callers must not change it.  Reuse is safe because parse_args
+    leaves the parser unchanged and help text reads COLUMNS when it is
+    printed."""
     parser = argparse.ArgumentParser(
         prog="tml",
         description="exact calculator for twisted polynomials and "

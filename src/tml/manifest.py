@@ -76,6 +76,15 @@ def _tokenize(text, line=None, col_offset=0):
     return toks
 
 
+def _is_name(text):
+    """Whether the tokenizer reads text back as one name."""
+    try:
+        toks = _tokenize(text)
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0].kind == "name" and toks[0].text == text
+
+
 def _total_degree(v):
     """Total degree of a tower element in T and the tower generators."""
     if v.tower.parent is None:
@@ -394,6 +403,10 @@ def build_manifest(sections) -> Manifest:
                 modulus = tuple(_as_int(v, "modulus coefficient")
                                 for v in _split_commas(mod_val))
             gen_val = _single(body, "gen", "field", line, required=False)
+            if gen_val and (gen_val.text == "T" or not _is_name(gen_val.text)):
+                raise ParseError("field generator must be a name other than "
+                                 f"'T', got {gen_val.text!r}", gen_val.line,
+                                 gen_val.col)
             try:
                 field = FiniteField(p, e, modulus=modulus,
                                     gen_name=gen_val.text if gen_val else None)
@@ -437,16 +450,31 @@ def build_manifest(sections) -> Manifest:
             continue
         if name in modules:
             raise ParseError(f"duplicate module {name!r}", line, 1)
-        m = _as_int(_single(body, "m", "module", line), "m")
+        m_val = _single(body, "m", "module", line)
+        m = _as_int(m_val, "m")
+        if m < 1:
+            raise ParseError(f"m must be at least 1, got {m}", m_val.line,
+                             m_val.col)
         mats = {}
         for key, vals in body.items():
             if key == "m":
                 continue
-            if not (key.startswith("a") and key[1:].isdigit()):
+            digits = key[1:]
+            if not (key.startswith("a") and digits.isascii()
+                    and digits.isdigit()):
                 raise ParseError(f"unknown key {key!r} in [module]",
                                  vals[0].line, 1)
-            idx = int(key[1:])
             val = _single(body, key, "module", line)
+            # int() refuses over 4,300 digits, so the length is tested first
+            digits = digits.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_POWER_DEGREE))
+                    or int(digits) > MAX_POWER_DEGREE):
+                raise ParseError(f"tau index of {key!r} exceeds the cap of "
+                                 f"{MAX_POWER_DEGREE}", val.line, 1)
+            idx = int(digits)
+            if idx in mats:
+                raise ParseError(f"duplicate key {key!r} (tau index {idx})",
+                                 val.line, 1)
             entries = eval_list(val)
             if len(entries) != m * m:
                 raise ParseError(f"{key} needs {m * m} entries, got "
@@ -604,10 +632,21 @@ def poly_from_text(field: FiniteField, text: str, line=None,
     return rf.num
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict, refusing a repeated key; json.loads alone
+    would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_manifest(text: str) -> Manifest:
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno,
                              exc.colno) from None

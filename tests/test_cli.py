@@ -7,14 +7,17 @@ import sys
 
 import pytest
 
-from tml.cli import main
+from tml.cli import build_parser, main
 
 ROOT_TWIST = "src/tml/manifests/root_twist.tml"
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on --help and usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -244,6 +247,22 @@ def test_invalid_module_is_refused_before_scans(capsys, tmp_path, command):
     assert err == "error: constant coefficient is not T*I plus nilpotent\n"
 
 
+@pytest.mark.parametrize("argv", [("validate",), ("j-bound",),
+                                  ("exp", "--order", "2")],
+                         ids=["validate", "j-bound", "exp"])
+def test_nonpositive_dimension_is_parse_error(capsys, tmp_path, argv):
+    # m = -1 used to build a 0-dimensional module: validate said invalid,
+    # j-bound printed floor(log_2(0)) and exp printed empty matrices
+    path = tmp_path / "zero.tml"
+    path.write_text("[field]\np = 2\n\n[module C]\nm = -1\na0 = T\n",
+                    encoding="utf-8")
+    code, out, err = _run(capsys, argv[0], "--manifest", str(path),
+                          "--module", "C", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: m must be at least 1, got -1 (line 5, col 5)\n"
+
+
 def test_power_beyond_degree_cap_is_parse_error(capsys):
     code, out, err = _run(capsys, "act", "--module", "Cten2",
                           "--poly", "T^99999999999")
@@ -288,3 +307,35 @@ def test_readme_example_output_is_exact(capsys, monkeypatch, argv,
     monkeypatch.delenv("TML_COLOR", raising=False)
     _, out, _ = _run(capsys, *argv)
     assert out == expected
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # a usage error, help, then one command in text and JSON; then the
+    # same in reverse, so JSON runs before text the second time
+    calls = [("exp", "--order", "x"), ("--help",),
+             ("exp", "--module", "Cten2", "--order", "2"),
+             ("exp", "--module", "Cten2", "--order", "2", "--format", "json")]
+    first = {}
+    for argv in calls + calls[::-1]:
+        result = _run(capsys, *argv)
+        assert first.setdefault(argv, result) == result
+    usage, helped, text, as_json = (first[argv] for argv in calls)
+    assert usage[0] == 2 and "invalid int value: 'x'" in usage[2]
+    assert helped[0] == 0 and helped[1].startswith("usage: tml")
+    assert text[0] == 0 and text[1].startswith("truncated exponential")
+    assert as_json[0] == 0 and json.loads(as_json[1])["order"] == 2
+
+
+def test_help_wraps_at_the_width_when_printed(capsys, monkeypatch):
+    build_parser()
+    widths = {}
+    for columns in (60, 120):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, _ = _run(capsys, "--help")
+        assert code == 0
+        widths[columns] = max(len(line) for line in out.splitlines())
+    assert widths[60] <= 60 < widths[120] <= 120

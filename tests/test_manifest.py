@@ -207,3 +207,80 @@ a1 = 1
 module = C
 coords = (T * U)^{n}
 """
+
+
+MODULE_INI = "[field]\np = 2\n\n[module C]\n{body}\n"
+
+
+@pytest.mark.parametrize("m", [-1, 0])
+def test_nonpositive_dimension_rejected(m):
+    # (-1)^2 = 1 entry used to match a0 = T and build a 0-dimensional module
+    with pytest.raises(ParseError) as info:
+        parse_manifest(MODULE_INI.format(body=f"m = {m}\na0 = T"))
+    assert str(info.value) == f"m must be at least 1, got {m} (line 5, col 5)"
+    doc = {"field": {"p": 2}, "modules": {"C": {"m": m, "a0": "T"}}}
+    with pytest.raises(ParseError) as info:
+        parse_manifest(json.dumps(doc))
+    assert str(info.value) == f"m must be at least 1, got {m} (col 1)"
+
+
+def test_tau_index_given_twice_rejected():
+    # a1 and a01 both name tau^1; the later one used to win silently
+    with pytest.raises(ParseError) as info:
+        parse_manifest(MODULE_INI.format(body="m = 1\na0 = T\na1 = 1\na01 = 0"))
+    assert str(info.value) == \
+        "duplicate key 'a01' (tau index 1) (line 8, col 1)"
+    doc = {"field": {"p": 2},
+           "modules": {"C": {"m": 1, "a0": "T", "a1": "1", "a01": "0"}}}
+    with pytest.raises(ParseError, match="duplicate key 'a01'"):
+        parse_manifest(json.dumps(doc))
+    # json.dumps cannot repeat a key; json.loads alone keeps the last one
+    with pytest.raises(ParseError) as info:
+        parse_manifest('{"field": {"p": 2}, "modules": {"C": '
+                       '{"m": 1, "a0": "T", "a1": "1", "a1": "0"}}}')
+    assert str(info.value) == "duplicate key 'a1'"
+    manifest = parse_manifest(MODULE_INI.format(body="m = 1\na00 = T\na01 = 1"))
+    assert manifest.modules["C"].degree == 1
+
+
+def test_tau_index_cap():
+    message = ("tau index of 'a10001' exceeds the cap of "
+               f"{MAX_POWER_DEGREE}")
+    with pytest.raises(ParseError) as info:
+        parse_manifest(MODULE_INI.format(body="m = 1\na0 = T\na10001 = 1"))
+    assert str(info.value) == message + " (line 7, col 1)"
+    doc = {"field": {"p": 2},
+           "modules": {"C": {"m": 1, "a0": "T", "a10001": "1"}}}
+    with pytest.raises(ParseError) as info:
+        parse_manifest(json.dumps(doc))
+    assert str(info.value) == message + " (col 1)"
+
+
+def test_tau_index_must_be_ascii_digits():
+    # '²'.isdigit() holds but int('²') raises ValueError
+    with pytest.raises(ParseError) as info:
+        parse_manifest(MODULE_INI.format(body="m = 1\na0 = T\na² = 1"))
+    assert str(info.value) == "unknown key 'a²' in [module] (line 7, col 1)"
+
+
+@pytest.mark.parametrize("gen", ["T", "1x", "g h", "g+1", ""])
+def test_field_generator_must_be_a_name_other_than_t(gen):
+    # gen = T would make every T in an expression the field generator
+    doc = {"field": {"p": 3, "e": 2, "modulus": "1, 0, 1", "gen": gen}}
+    message = f"field generator must be a name other than 'T', got {gen!r}"
+    with pytest.raises(ParseError) as info:
+        parse_manifest(json.dumps(doc))
+    assert str(info.value) == message + " (col 1)"
+    if gen:
+        text = f"[field]\np = 3\ne = 2\nmodulus = 1, 0, 1\ngen = {gen}\n"
+        with pytest.raises(ParseError) as info:
+            parse_manifest(text)
+        assert str(info.value) == message + " (line 5, col 7)"
+
+
+def test_field_generator_name_reads_back():
+    doc = {"field": {"p": 3, "e": 2, "modulus": "1, 0, 1", "gen": "w_1"},
+           "polys": {"b": "w_1 * T + 1"}}
+    manifest = parse_manifest(json.dumps(doc))
+    assert manifest.polys["b"].to_expr() == "w_1*T+1"
+    assert parse_manifest(manifest_to_text(manifest)).polys == manifest.polys
