@@ -428,16 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("stability", cmd_stability,
         "decide whether a subgroup is preserved by an action",
         **{"--subgroup": dict(required=True),
-           "--module": dict(required=False,
-                            help="accepted for symmetry; the subgroup "
-                                 "already knows its module"),
            "--poly": dict(required=True),
            "--bound": dict(type=int, default=None,
                            help="witness twist-degree search bound")})
     add("minimal-j", cmd_minimal_j,
         "scan monomial exponents for the least stabilizing one",
         **{"--subgroup": dict(required=True),
-           "--module": dict(required=False),
            "--max-j": dict(type=int, default=6),
            "--bound": dict(type=int, default=None)})
     add("j-bound", cmd_j_bound,

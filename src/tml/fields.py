@@ -6,10 +6,10 @@ coefficients base p.  A polynomial holds the native form of its field
 kind, chosen once when it is built: over F_2 one int whose bit i is the
 T**i coefficient, so that addition is XOR and multiplication, division
 and gcd are shifts and XORs of that int; over any other field a tuple of
-coefficients, lowest degree first, with no trailing zeros, which the
-kernels reduce with inline % p over a prime field and combine through
-FiniteField's tables over an extension field.  Rational functions keep a
-monic, coprime denominator at all times.  A tower element above F_q(T) is
+coefficients, lowest degree first, with no trailing zeros, whose kernels
+look every coefficient operation up in FiniteField's tables, over prime
+and extension fields alike.  Rational functions keep a monic, coprime
+denominator at all times.  A tower element above F_q(T) is
 the tuple of its coordinates over F_q(T) in the tower's monomial basis:
 products go through a cached table of basis products, and an inverse is
 one exact linear solve.
@@ -17,12 +17,15 @@ one exact linear solve.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import (BadParameter, CertificateError, FieldMismatch,
                      ShapeMismatch, ZeroDivisor)
 from .linalg import gauss_solve
 
-DEFAULT_P_LIMIT = 13
-DEFAULT_E_LIMIT = 4
+P_LIMIT = 13
+E_LIMIT = 4
+TABLE_LIMIT = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -37,8 +40,8 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# kernels on the native forms of F_q[T]: coefficient tuples over F_p with
-# inline % p, and bit-packed ints over F_2
+# kernels on the bit-packed ints of F_2[T], and helpers for coefficient
+# tuples and base-p digits
 
 
 def _strip(c):
@@ -46,25 +49,6 @@ def _strip(c):
     while k and not c[k - 1]:
         k -= 1
     return tuple(c[:k])
-
-
-def _fp_divmod(a, b, p):
-    """Quotient and remainder of reduced, stripped coefficient tuples over
-    F_p.  The remainder is reduced mod p once, at the end."""
-    db = len(b) - 1
-    n = len(a) - db
-    if n <= 0:
-        return (), a
-    inv = pow(b[-1], p - 2, p)
-    low = b[:-1]
-    rem = list(a)
-    quo = [0] * n
-    for off in range(n - 1, -1, -1):
-        c = rem[off + db] * inv % p
-        if c:
-            quo[off] = c
-            rem[off:off + db] = [r - c * y for r, y in zip(rem[off:off + db], low)]
-    return tuple(quo), _strip([r % p for r in rem[:db]])
 
 
 def _gf2_mul(a, b):
@@ -100,17 +84,15 @@ def _gf2_gcd(a, b):
     return a
 
 
-def _fp_is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree at most deg/2."""
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
+def _is_irreducible(f):
+    """Trial division of f in F_p[T] by every monic polynomial of degree
+    at most deg/2; a constant is not irreducible."""
+    fp, p = f.field, f.field.p
+    for d in range(1, f.degree // 2 + 1):
         for k in range(p ** d):
-            div = _digits(k, p, d) + (1,)
-            if not _fp_divmod(poly, div, p)[1]:
+            if not f % Poly(fp, _digits(k, p, d) + (1,)):
                 return False
-    return True
+    return f.degree >= 1
 
 
 def _digits(n, p, width):
@@ -128,27 +110,43 @@ def _undigits(digits, p):
     return n
 
 
+class _OnDemand:
+    """A read-only table whose entry [a] is fn(a), computed on access."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
+_TABLES = ("add_table", "neg_table", "mul_table", "inv_table")
+
+
 class FiniteField:
     """F_q with q = p**e in a polynomial basis over the prime field.
 
     An element sum(c_i * gen**i) is encoded as the int sum(c_i * p**i).
     The defining modulus is the first monic irreducible of degree e in
     lexicographic coefficient order unless one is supplied.
+
+    The arithmetic is four tables built on first use, add_table[a][b],
+    neg_table[a], mul_table[a][b] and inv_table[a] (inv_table[0] is 0):
+    lists up to q = TABLE_LIMIT, and above it entries computed on access.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "gen_name", "key", "_mul_table",
-                 "_add_table", "_neg_table", "_inv_table", "_high_red")
+    __slots__ = ("p", "e", "q", "modulus", "gen_name", "key") + _TABLES
 
-    def __init__(self, p, e=1, modulus=None, gen_name=None,
-                 limits=(DEFAULT_P_LIMIT, DEFAULT_E_LIMIT)):
+    def __init__(self, p, e=1, modulus=None, gen_name=None):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if e < 1:
             raise ValueError(f"e must be positive, got {e}")
-        if limits is not None:
-            pl, el = limits
-            if p > pl or e > el:
-                raise ValueError(f"field size out of configured range: p={p}, e={e}")
+        if p > P_LIMIT or e > E_LIMIT:
+            raise ValueError(f"field size out of range: p={p}, e={e} "
+                             f"(p <= {P_LIMIT}, e <= {E_LIMIT})")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -158,27 +156,74 @@ class FiniteField:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e")
-            if e > 1 and not _fp_is_irreducible(modulus, p):
+            if e > 1 and not _is_irreducible(Poly(FiniteField(p), modulus)):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
         if gen_name is None and e > 1:
             gen_name = "g"
         self.gen_name = gen_name
         self.key = (p, e, modulus)
-        self._mul_table = self._add_table = self._neg_table = None
-        self._inv_table = None
-        # reductions of gen**e .. gen**(2e-2) as encoded ints
-        self._high_red = None
 
     @staticmethod
     def _find_modulus(p, e):
         if e == 1:
             return (0, 1)
+        fp = FiniteField(p)
         for k in range(p ** e):
             cand = _digits(k, p, e) + (1,)
-            if _fp_is_irreducible(cand, p):
+            if _is_irreducible(Poly(fp, cand)):
                 return cand
         raise AssertionError("no irreducible modulus found")
+
+    def __getattr__(self, name):
+        # only reached while a table slot is still unset
+        if name not in _TABLES:
+            raise AttributeError(name)
+        self._build_tables()
+        return getattr(self, name)
+
+    def _build_tables(self):
+        p, q = self.p, self.q
+        if self.e == 1:
+            cycle = list(range(p)) * 2
+            add = [cycle[a:a + p] for a in range(p)]
+            mul = [[a * b % p for b in range(p)] for a in range(p)]
+        elif q <= TABLE_LIMIT:
+            add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
+            mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
+        else:
+            add = _OnDemand(lambda a: _OnDemand(partial(self._add_slow, a)))
+            mul = _OnDemand(lambda a: _OnDemand(partial(self._mul_slow, a)))
+        self.add_table, self.mul_table = add, mul
+        # p - 1 encodes -1 of the prime subfield
+        self.neg_table = mul[p - 1]
+        self.inv_table = ([0] + [row.index(1) for row in mul[1:]]
+                          if q <= TABLE_LIMIT
+                          else _OnDemand(lambda a: self.pow(a, q - 2)))
+
+    def _add_slow(self, a, b):
+        if not (a and b):
+            return a or b
+        p, e = self.p, self.e
+        return _undigits([(x + y) % p for x, y in
+                          zip(_digits(a, p, e), _digits(b, p, e))], p)
+
+    def _mul_slow(self, a, b):
+        if not (a and b):
+            return 0
+        p, e, m = self.p, self.e, self.modulus
+        conv = [0] * (2 * e - 1)
+        for i, x in enumerate(_digits(a, p, e)):
+            if x:
+                for j, y in enumerate(_digits(b, p, e)):
+                    conv[i + j] += x * y
+        # gen**e = -(m_0 + m_1 gen + ... + m_(e-1) gen**(e-1)), top down
+        for k in range(2 * e - 2, e - 1, -1):
+            c = conv[k]
+            if c:
+                for i in range(e):
+                    conv[k - e + i] -= c * m[i]
+        return _undigits([c % p for c in conv[:e]], p)
 
     # -- encoded element helpers
 
@@ -187,89 +232,21 @@ class FiniteField:
         return int(n) % self.p
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.q <= 256:
-            if self._add_table is None:
-                self._build_tables()
-            return self._add_table[a][b]
-        return self._add_slow(a, b)
-
-    def _add_slow(self, a, b):
-        p = self.p
-        da = _digits(a, p, self.e)
-        db = _digits(b, p, self.e)
-        return _undigits(tuple((x + y) % p for x, y in zip(da, db)), p)
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.e == 1:
-            return (-a) % self.p
-        if self.q <= 256:
-            if self._neg_table is None:
-                self._build_tables()
-            return self._neg_table[a]
-        p = self.p
-        return _undigits(tuple((-x) % p for x in _digits(a, p, self.e)), p)
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add_table[a][self.neg_table[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        if self.q <= 256:
-            if self._mul_table is None:
-                self._build_tables()
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a, b):
-        p, e = self.p, self.e
-        da = _digits(a, p, e)
-        db = _digits(b, p, e)
-        conv = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        if self._high_red is None:
-            red = []
-            for k in range(e, 2 * e - 1):
-                mono = (0,) * k + (1,)
-                red.append(_fp_divmod(mono, self.modulus, p)[1])
-            self._high_red = tuple(red)
-        out = list(conv[:e])
-        for k in range(e, 2 * e - 1):
-            c = conv[k]
-            if c:
-                for i, r in enumerate(self._high_red[k - e]):
-                    out[i] = (out[i] + c * r) % p
-        return _undigits(out, p)
-
-    def _build_tables(self):
-        q = self.q
-        self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        self._add_table = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-        self._neg_table = [row.index(0) for row in self._add_table]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow(a, q - 2)
-        self._inv_table = inv
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisor("inverse of zero in F_q")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        if self.q <= 256:
-            if self._inv_table is None:
-                self._build_tables()
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self.inv_table[a]
 
     def pow(self, a: int, n: int) -> int:
         out = 1
@@ -328,10 +305,6 @@ def _poly(field, rep):
     return out
 
 
-def _unit_inverse(f, c):
-    return pow(c, f.p - 2, f.p) if f.e == 1 else f.inv(c)
-
-
 def _power(x, n, one):
     """x**n by repeated squaring."""
     out = one
@@ -349,8 +322,8 @@ class Poly:
     rep is one int whose bit i is the T**i coefficient when q == 2, and
     otherwise a tuple of encoded coefficients, lowest degree first, with
     no trailing zeros.  Over F_2 the kernels are shifts and XORs of that
-    int; over an odd prime field they reduce with inline % p; over an
-    extension field they go through FiniteField's tables.
+    int; over any other field they look every coefficient operation up in
+    FiniteField's tables, a row at a time.
     """
 
     __slots__ = ("field", "rep", "_coeffs")
@@ -429,11 +402,8 @@ class Poly:
             return _poly(f, a ^ b)
         if len(a) < len(b):
             a, b = b, a
-        if f.e == 1:
-            p = f.p
-            low = [(x + y) % p for x, y in zip(a, b)]
-        else:
-            low = [f.add(x, y) for x, y in zip(a, b)]
+        add = f.add_table
+        low = [add[x][y] for x, y in zip(a, b)]
         if len(a) > len(b):
             return _poly(f, tuple(low) + a[len(b):])
         return _poly(f, _strip(low))
@@ -442,10 +412,8 @@ class Poly:
         f = self.field
         if f.p == 2:
             return self
-        if f.e == 1:
-            p = f.p
-            return _poly(f, tuple(p - c if c else 0 for c in self.rep))
-        return _poly(f, tuple(f.neg(c) for c in self.rep))
+        neg = f.neg_table
+        return _poly(f, tuple([neg[c] for c in self.rep]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -464,32 +432,23 @@ class Poly:
             a, b = b, a
         n = len(a)
         out = [0] * (n + len(b) - 1)
-        if f.e == 1:
-            # accumulate unreduced ints, then reduce each coefficient once
-            for i, y in enumerate(b):
-                if y:
-                    out[i:i + n] = [s + x * y for s, x in zip(out[i:i + n], a)]
-            p = f.p
-            return _poly(f, tuple(c % p for c in out))
+        add, mul = f.add_table, f.mul_table
         for i, y in enumerate(b):
             if y:
-                for j, x in enumerate(a):
-                    if x:
-                        out[i + j] = f.add(out[i + j], f.mul(x, y))
+                row = mul[y]
+                out[i:i + n] = [add[s][row[x]] if x else s
+                                for s, x in zip(out[i:i + n], a)]
         return _poly(f, tuple(out))
 
     def scale(self, c: int):
+        """The product with an encoded element c of F_q."""
         f = self.field
-        if f.e == 1:
-            c %= f.p
         if c == 0:
             return Poly.zero(f)
         if c == 1:
             return self
-        if f.e == 1:
-            p = f.p
-            return _poly(f, tuple(x * c % p for x in self.rep))
-        return _poly(f, tuple(f.mul(x, c) for x in self.rep))
+        row = f.mul_table[c]
+        return _poly(f, tuple([row[x] for x in self.rep]))
 
     def __pow__(self, n: int):
         return _power(self, n, Poly.one(self.field))
@@ -502,21 +461,22 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if f.q == 2:
             q, r = _gf2_divmod(a, b)
-        elif f.e == 1:
-            q, r = _fp_divmod(a, b, f.p)
-        else:
-            rem = list(a)
-            db = len(b) - 1
-            q = [0] * max(len(rem) - db, 0)
-            inv_lead = f.inv(b[-1])
-            for off in range(len(q) - 1, -1, -1):
-                c = f.mul(rem[off + db], inv_lead)
-                if c:
-                    q[off] = c
-                    for i, bi in enumerate(b):
-                        rem[off + i] = f.sub(rem[off + i], f.mul(c, bi))
-            q, r = tuple(q), _strip(rem[:db])
-        return _poly(f, q), _poly(f, r)
+            return _poly(f, q), _poly(f, r)
+        db = len(b) - 1
+        n = len(a) - db
+        add, neg, mul = f.add_table, f.neg_table, f.mul_table
+        lead = mul[f.inv_table[b[-1]]]
+        low = b[:-1]
+        rem = list(a)
+        quo = [0] * n
+        for off in range(n - 1, -1, -1):
+            c = lead[rem[off + db]]
+            if c:
+                quo[off] = c
+                row = mul[neg[c]]
+                rem[off:off + db] = [add[r][row[y]] if y else r
+                                     for r, y in zip(rem[off:off + db], low)]
+        return _poly(f, tuple(quo)), _poly(f, _strip(rem[:db]))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -544,7 +504,7 @@ class Poly:
     def monic(self):
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(_unit_inverse(self.field, self.rep[-1]))
+        return self.scale(self.field.inv_table[self.rep[-1]])
 
     def stretch(self, k: int):
         """Substitute T -> T**k; with k = q**i this is the i-fold Frobenius."""
@@ -647,7 +607,7 @@ class RatFunc:
                 num = num.divexact(g)
                 den = den.divexact(g)
         if not den.is_monic():
-            c = _unit_inverse(f, den.lc())
+            c = f.inv_table[den.lc()]
             num = num.scale(c)
             den = den.scale(c)
         self.num = num

@@ -119,9 +119,6 @@ class Mat:
     def __hash__(self):
         return hash(self.data)
 
-    def col(self, j):
-        return tuple(row[j] for row in self.data)
-
     def to_exprs(self):
         return [[a.to_expr() for a in row] for row in self.data]
 

@@ -407,6 +407,10 @@ def build_manifest(sections) -> Manifest:
                 raise ParseError("field generator must be a name other than "
                                  f"'T', got {gen_val.text!r}", gen_val.line,
                                  gen_val.col)
+            if gen_val and e == 1:
+                raise ParseError("a prime field (e = 1) has no generator "
+                                 f"to name, got gen = {gen_val.text}",
+                                 gen_val.line, gen_val.col)
             try:
                 field = FiniteField(p, e, modulus=modulus,
                                     gen_name=gen_val.text if gen_val else None)

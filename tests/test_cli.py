@@ -247,6 +247,30 @@ def test_invalid_module_is_refused_before_scans(capsys, tmp_path, command):
     assert err == "error: constant coefficient is not T*I plus nilpotent\n"
 
 
+def test_field_beyond_the_size_caps_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "big.tml"
+    path.write_text("[field]\np = 17\n\n[module C]\nm = 1\na0 = T\n",
+                    encoding="utf-8")
+    code, out, err = _run(capsys, "validate", "--manifest", str(path),
+                          "--module", "C")
+    assert code == 2
+    assert out == ""
+    assert err == ("parse error: field size out of range: p=17, e=1 "
+                   "(p <= 13, e <= 4) (line 1, col 1)\n")
+
+
+@pytest.mark.parametrize("argv", [("stability", "--poly", "T^2"),
+                                  ("minimal-j",)],
+                         ids=["stability", "minimal-j"])
+def test_subgroup_commands_refuse_module_flag(capsys, argv):
+    # the subgroup names its own module, so these commands take no --module
+    code, out, err = _run(capsys, *argv, "--subgroup", "Axis",
+                          "--module", "Nope")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: unrecognized arguments: --module Nope\n")
+
+
 @pytest.mark.parametrize("argv", [("validate",), ("j-bound",),
                                   ("exp", "--order", "2")],
                          ids=["validate", "j-bound", "exp"])

@@ -34,6 +34,12 @@ def test_field_constructor_rejects_bad_input():
         FiniteField(2, 2, modulus=(1, 0, 1))  # (x+1)^2 is reducible
 
 
+@pytest.mark.parametrize("p,e", [(17, 1), (2, 5)])
+def test_field_size_caps(p, e):
+    with pytest.raises(ValueError, match="field size out of range"):
+        FiniteField(p, e)
+
+
 def test_poly_divmod_round_trip(f3, rng):
     for _ in range(50):
         f = Poly(f3, [rng.randrange(3) for _ in range(6)])

@@ -278,6 +278,21 @@ def test_field_generator_must_be_a_name_other_than_t(gen):
         assert str(info.value) == message + " (line 5, col 7)"
 
 
+@pytest.mark.parametrize("e", ["", "e = 1\n"])
+def test_prime_field_generator_rejected(e):
+    # a prime field has no generator, so the name would never be bound
+    message = "a prime field (e = 1) has no generator to name, got gen = w"
+    with pytest.raises(ParseError) as info:
+        parse_manifest(f"[field]\np = 2\n{e}gen = w\n")
+    assert str(info.value) == message + f" (line {3 + bool(e)}, col 7)"
+    doc = {"field": {"p": 2, "gen": "w"}}
+    if e:
+        doc["field"]["e"] = 1
+    with pytest.raises(ParseError) as info:
+        parse_manifest(json.dumps(doc))
+    assert str(info.value) == message + " (col 1)"
+
+
 def test_field_generator_name_reads_back():
     doc = {"field": {"p": 3, "e": 2, "modulus": "1, 0, 1", "gen": "w_1"},
            "polys": {"b": "w_1 * T + 1"}}

@@ -2,57 +2,59 @@
 
 The reference below does its own F_q arithmetic on base-p digit vectors
 reduced by the field's modulus, so it shares no code with the packed F_2
-kernels, the inline % p kernels or FiniteField's tables.
+kernels or FiniteField's tables.
 """
 
+import functools
 import random
 from collections import Counter
 
 import pytest
 
 from tml.errors import BadParameter, FieldMismatch
-from tml.fields import FiniteField, Poly, RatFunc
+from tml.fields import TABLE_LIMIT, FiniteField, Poly, RatFunc
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
 
 class RefField:
-    """F_q on encoded ints: tables filled digit by digit from the modulus."""
+    """F_q on encoded ints: each entry is computed digit by digit from the
+    modulus when it is first asked for, then remembered."""
 
     def __init__(self, field):
         p, e, q, m = field.p, field.e, field.q, field.modulus
-        digits = [[(a // p ** i) % p for i in range(e)] for a in range(q)]
+
+        def digits(a):
+            return [(a // p ** i) % p for i in range(e)]
 
         def enc(ds):
             return sum(d * p ** i for i, d in enumerate(ds))
 
+        @functools.cache
+        def add(a, b):
+            return enc([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+        @functools.cache
         def mul(a, b):
             conv = [0] * (2 * e - 1)
-            for i, x in enumerate(digits[a]):
-                for j, y in enumerate(digits[b]):
+            for i, x in enumerate(digits(a)):
+                for j, y in enumerate(digits(b)):
                     conv[i + j] += x * y
             for k in range(len(conv) - 1, e - 1, -1):
                 for i in range(e):
                     conv[k - e + i] -= conv[k] * m[i]
             return enc([c % p for c in conv[:e]])
 
+        @functools.cache
+        def neg(a):
+            return enc([-x % p for x in digits(a)])
+
+        @functools.cache
+        def inv(a):
+            return next(b for b in range(1, q) if mul(a, b) == 1)
+
         self.q = q
-        self.sum = [[enc([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                     for b in range(q)] for a in range(q)]
-        self.prod = [[mul(a, b) for b in range(q)] for a in range(q)]
-        self.negs = [enc([-x % p for x in digits[a]]) for a in range(q)]
-
-    def add(self, a, b):
-        return self.sum[a][b]
-
-    def neg(self, a):
-        return self.negs[a]
-
-    def mul(self, a, b):
-        return self.prod[a][b]
-
-    def inv(self, a):
-        return self.prod[a].index(1)
+        self.add, self.mul, self.neg, self.inv = add, mul, neg, inv
 
 
 def strip(cs):
@@ -140,12 +142,8 @@ def operand_lists(rng, q):
             for d in degrees]
 
 
-@pytest.mark.parametrize("p,e", FIELDS)
-def test_poly_matches_schoolbook_reference(p, e):
-    field = FiniteField(p, e)
+def check_against_reference(field, ops, rng, partners, scalars):
     F = RefField(field)
-    rng = random.Random(7000 + 10 * p + e)
-    ops = operand_lists(rng, field.q)
     for xs in ops:
         x = Poly(field, xs)
         want = strip(xs)
@@ -157,9 +155,9 @@ def test_poly_matches_schoolbook_reference(p, e):
         assert list(x.monic().coeffs) == ref_monic(F, want)
         for k in (2, field.q, field.q ** 2):
             assert list(x.stretch(k).coeffs) == ref_stretch(want, k)
-        for c in range(field.q):
+        for c in scalars:
             assert list(x.scale(c).coeffs) == ref_scale(F, want, c)
-        for ys in rng.sample(ops, 6):
+        for ys in rng.sample(ops, partners):
             y = Poly(field, ys)
             b = strip(ys)
             assert list((x + y).coeffs) == ref_add(F, want, b)
@@ -170,6 +168,35 @@ def test_poly_matches_schoolbook_reference(p, e):
                 quo, rem = divmod(x, y)
                 assert (list(quo.coeffs), list(rem.coeffs)) == ref_divmod(
                     F, want, b)
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_poly_matches_schoolbook_reference(p, e):
+    field = FiniteField(p, e)
+    rng = random.Random(7000 + 10 * p + e)
+    check_against_reference(field, operand_lists(rng, field.q), rng, 6,
+                            range(field.q))
+
+
+def test_poly_matches_schoolbook_reference_above_the_table_limit():
+    """F_343 is too large for list tables, so FiniteField computes each
+    entry on access."""
+    field = FiniteField(7, 3)
+    assert field.q > TABLE_LIMIT
+    rng = random.Random(7373)
+    ops = [random_coeffs(rng, field.q, d, rng.choice((0, 1)))
+           for d in (-1, 0, 1, 2, 5, 9, 14)]
+    check_against_reference(field, ops, rng, 3,
+                            [0, 1, field.q - 1] + rng.sample(range(field.q), 3))
+    F = RefField(field)
+    for _ in range(5):
+        num = random_coeffs(rng, field.q, rng.randrange(-1, 5))
+        den = random_coeffs(rng, field.q, rng.randrange(0, 5))
+        common = random_coeffs(rng, field.q, rng.randrange(0, 3))
+        num, den = ref_mul(F, num, common), ref_mul(F, den, common)
+        r = RatFunc(Poly(field, num), Poly(field, den))
+        assert (list(r.num.coeffs), list(r.den.coeffs)) == ref_ratfunc(
+            F, num, den)
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
@@ -265,24 +292,18 @@ def _operands(field, rng):
     return a, b
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_prime_field_kernels_make_no_field_calls(fq_calls, p):
-    field = FiniteField(p)
-    a, b = _operands(field, random.Random(p))
-    a + b
-    a * b
-    divmod(a, b)
-    a.gcd(b)
-    RatFunc(a, b)
-    assert sum(fq_calls.values()) == 0
-
-
-@pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
-def test_extension_field_kernels_use_the_tables(fq_calls, p, e):
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_kernels_make_no_field_calls(fq_calls, p, e):
+    """Every kernel reads FiniteField's tables directly; none of them calls
+    its per-element methods."""
     field = FiniteField(p, e)
     a, b = _operands(field, random.Random(p))
-    for op in (lambda: a + b, lambda: a * b, lambda: divmod(a, b),
-               lambda: a.gcd(b)):
-        before = sum(fq_calls.values())
-        op()
-        assert sum(fq_calls.values()) > before
+    a + b
+    -a
+    a * b
+    a.scale(field.q - 1)
+    divmod(a, b)
+    a.gcd(b)
+    a.monic()
+    RatFunc(a, b)
+    assert sum(fq_calls.values()) == 0
