@@ -1,9 +1,11 @@
-"""Small exact dense linear algebra over a coefficient field object.
+"""Small exact linear algebra over a coefficient field object.
 
 The field argument only needs zero() and one(); elements need the ring
-operators plus inverse() and is_zero().  Everything reduces by ordinary
-row elimination with immediate canonicalization of every entry, which is
-exact over the rational-function towers used here.
+operators plus inverse(), is_zero(), zero() and _check(), the last
+raising FieldMismatch for an element of another field.  Matrices are
+stored dense, but products and eliminations skip zero entries: a product
+with a zero operand is never formed.  Everything is exact over the
+rational-function towers used here.
 """
 
 from __future__ import annotations
@@ -66,34 +68,19 @@ class Mat:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = tuple(zip(*other.data)) if other.data else ()
-        out = []
-        for row in self.data:
-            new = []
-            for col in ot:
-                acc = None
-                for a, b in zip(row, col):
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                new.append(acc)
-            out.append(tuple(new))
-        if self.rows and other.cols == 0:
-            return Mat(tuple(() for _ in range(self.rows)))
-        if not out:
-            return Mat(())
-        return Mat(tuple(out))
+        cells = [[None] * other.cols for _ in range(self.rows)]
+        zero = (_zero_of(self.data[0][0], other.data[0][0])
+                if cells and other.cols else None)
+        _mul_into(cells, _sparse_rows(self.data), _sparse_rows(other.data))
+        return Mat(_filled(cells, zero))
 
     def matvec(self, vec):
         if self.cols != len(vec):
             raise ShapeMismatch("matrix-vector size mismatch")
-        out = []
-        for row in self.data:
-            acc = None
-            for a, b in zip(row, vec):
-                term = a * b
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return tuple(out)
+        cells = [[None] for _ in range(self.rows)]
+        zero = _zero_of(self.data[0][0], vec[0]) if cells and vec else None
+        _mul_into(cells, _sparse_rows(self.data), _sparse_rows(zip(vec)))
+        return tuple(v for v, in _filled(cells, zero))
 
     def scale(self, s):
         return Mat(tuple(tuple(a * s for a in row) for row in self.data))
@@ -126,6 +113,38 @@ class Mat:
         return f"Mat({self.to_exprs()})"
 
 
+def _zero_of(x, y):
+    """The zero of x's field; raises FieldMismatch, as x * y would, when
+    y lives in another field."""
+    x._check(y)
+    return x.zero()
+
+
+def _sparse_rows(data):
+    """Each row of data as its (column, entry) pairs with nonzero entry."""
+    return [[(c, v) for c, v in enumerate(row) if not v.is_zero()]
+            for row in data]
+
+
+def _mul_into(cells, a, b):
+    """Add the product of a and b into cells, a list of row lists in
+    which None is zero.  a and b are sparse rows (see _sparse_rows), so
+    a product is formed only when both operands are nonzero, and the
+    nonzero pattern of each row of b is found once, not once per use."""
+    for out, arow in zip(cells, a):
+        for k, x in arow:
+            for c, y in b[k]:
+                term = x * y
+                acc = out[c]
+                out[c] = term if acc is None else acc + term
+
+
+def _filled(cells, zero):
+    """cells as a tuple of row tuples, with zero where a cell is None."""
+    return tuple(tuple(zero if v is None else v for v in row)
+                 for row in cells)
+
+
 def _rref(rows, ncols):
     """In-place reduced row echelon form; returns the pivot column list."""
     nr = len(rows)
@@ -140,12 +159,18 @@ def _rref(rows, ncols):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * v for v in rows[r]]
+        piv = rows[r]
+        inv = piv[c].inverse()
+        # columns left of c are zero in every row from r down
+        nz = [k for k in range(c, len(piv)) if not piv[k].is_zero()]
+        for k in nz:
+            piv[k] = inv * piv[k]
         for i in range(nr):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                for k in nz:
+                    row[k] = row[k] - f * piv[k]
         pivots.append(c)
         r += 1
         if r == nr:

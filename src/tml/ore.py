@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
                      NonInvertibleLeading, ShapeMismatch)
-from .linalg import Mat, gauss_inverse, gauss_solve
+from .linalg import (Mat, _filled, _mul_into, _sparse_rows,
+                     gauss_inverse, gauss_solve)
 
 
 class OrePoly:
@@ -104,20 +105,22 @@ class OrePoly:
             raise ShapeMismatch("composition shape mismatch")
         if self.is_zero() or other.is_zero():
             return OrePoly.zero(self.tower, self.rows, other.cols)
-        n = self.degree + other.degree
-        out = [Mat.zeros(self.tower, self.rows, other.cols) for _ in range(n + 1)]
-        twisted = {}
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                key = (i, j)
-                if key not in twisted:
-                    twisted[key] = b.frob(i)
-                out[i + j] = out[i + j] + (a @ twisted[key])
-        return OrePoly(self.tower, self.rows, other.cols, out)
+        # one cell grid per tau-degree of the product; None is zero
+        cells = [[[None] * other.cols for _ in range(self.rows)]
+                 for _ in range(self.degree + other.degree + 1)]
+        left = [_sparse_rows(a.data) for a in self.coeffs]
+        # a twist costs one Frobenius per entry: twist only the rows of
+        # b_j that a_i reads, those indexed by a_i's nonzero columns
+        used = [{k for row in a for k, _ in row} for a in left]
+        for j, b in enumerate(other.coeffs):
+            right = _sparse_rows(b.data)
+            for i, a in enumerate(left):
+                twisted = [[(c, y.frob(i)) for c, y in row] if k in used[i]
+                           else () for k, row in enumerate(right)]
+                _mul_into(cells[i + j], a, twisted)
+        zero = self.tower.zero()
+        return OrePoly(self.tower, self.rows, other.cols,
+                       [Mat(_filled(grid, zero)) for grid in cells])
 
     def scale(self, e):
         return OrePoly(self.tower, self.rows, self.cols,

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from tml.errors import FieldMismatch
 from tml.fields import Poly, RatFunc
 from tml.linalg import (Mat, gauss_inverse, gauss_solve, kernel_basis,
                         matrix_rank)
@@ -94,3 +97,156 @@ def test_frobenius_of_matrix_is_entrywise(tower2):
     f = m.frob(1)
     assert f[0, 0] == t * t
     assert f[0, 1] == o
+
+
+# -- differential tests of the zero-skipping kernels -------------------------
+#
+# The references below form every product, zeros included, as schoolbook
+# matrix arithmetic and dense row elimination do.
+
+def _ref_matmul(a, b, zero):
+    out = []
+    for r in range(a.rows):
+        row = []
+        for c in range(b.cols):
+            acc = zero
+            for k in range(a.cols):
+                acc = acc + a[r, k] * b[k, c]
+            row.append(acc)
+        out.append(tuple(row))
+    return Mat(tuple(out))
+
+
+def _assert_skipped_cells_zero(a, b, out):
+    """Every cell with no pair of nonzero operands is a zero of a's tower."""
+    for r in range(a.rows):
+        for c in range(b.cols):
+            if all(a[r, k].is_zero() or b[k, c].is_zero()
+                   for k in range(a.cols)):
+                assert out[r, c].is_zero()
+                assert out[r, c].tower == a[r, 0].tower
+
+
+def _ref_rref(rows, ncols):
+    nr = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nr) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(nr):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return pivots
+
+
+def _ref_solve(tower, a, b):
+    aug = [list(row) + [x] for row, x in zip(a.data, b)]
+    pivots = _ref_rref(aug, a.cols)
+    if any(not row[-1].is_zero() for row in aug[len(pivots):]):
+        return None
+    sol = [tower.zero()] * a.cols
+    for r, c in enumerate(pivots):
+        sol[c] = aug[r][-1]
+    return sol
+
+
+def _ref_inverse(tower, a):
+    ident = Mat.identity(tower, a.rows)
+    aug = [list(row) + list(e) for row, e in zip(a.data, ident.data)]
+    if len(_ref_rref(aug, a.cols)) < a.rows:
+        return None
+    return Mat(tuple(tuple(row[a.cols:]) for row in aug))
+
+
+def _ref_kernel(tower, a):
+    rows = [list(row) for row in a.data]
+    pivots = _ref_rref(rows, a.cols)
+    basis = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        vec = [tower.zero()] * a.cols
+        vec[fc] = tower.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(vec)
+    return basis
+
+
+SHAPES = [(1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 3, 2), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_matmul_and_matvec_match_schoolbook(any_tower, sparse_mat, seed):
+    rng = random.Random(seed)
+    zero = any_tower.zero()
+    for m, k, n in SHAPES:
+        cases = [(sparse_mat(rng, any_tower, m, k),
+                  sparse_mat(rng, any_tower, k, n)),
+                 (Mat.zeros(any_tower, m, k),
+                  sparse_mat(rng, any_tower, k, n)),
+                 (sparse_mat(rng, any_tower, m, k, zero_col=k - 1),
+                  sparse_mat(rng, any_tower, k, n, zero_row=k - 1)),
+                 (sparse_mat(rng, any_tower, m, k, zero_row=0),
+                  sparse_mat(rng, any_tower, k, n, zero_col=0))]
+        for a, b in cases:
+            out = a @ b
+            assert out == _ref_matmul(a, b, zero)
+            _assert_skipped_cells_zero(a, b, out)
+            col = Mat(tuple((b[i, 0],) for i in range(k)))
+            got = Mat(tuple(zip(a.matvec(tuple(v for v, in col.data)))))
+            assert got == _ref_matmul(a, col, zero)
+            _assert_skipped_cells_zero(a, col, got)
+
+
+def test_products_of_empty_matrices(tower2):
+    empty = Mat(())
+    assert empty @ empty == empty
+    assert empty.matvec(()) == ()
+    one_by_zero = Mat(((),))
+    assert one_by_zero @ empty == one_by_zero
+    o = tower2.one()
+    assert (Mat(((o,),)) @ Mat(((),))) == Mat(((),))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_elimination_matches_dense_reference(any_tower, sparse_mat,
+                                              sparse_elem, seed):
+    rng = random.Random(100 + seed)
+    shapes = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4))
+    # entries grow fast in a depth-2 elimination: stop at 2x2 there
+    for m, n in shapes[:4] if any_tower.depth == 2 else shapes:
+        for zero_col in (None, 0):
+            a = sparse_mat(rng, any_tower, m, n, zero_col=zero_col)
+            b = tuple(sparse_elem(rng, any_tower) for _ in range(m))
+            assert gauss_solve(any_tower, a, b) == _ref_solve(any_tower, a, b)
+            assert kernel_basis(any_tower, a) == _ref_kernel(any_tower, a)
+            pivots = _ref_rref([list(row) for row in a.data], n)
+            assert matrix_rank(a) == len(pivots)
+            if m == n:
+                assert (gauss_inverse(any_tower, a)
+                        == _ref_inverse(any_tower, a))
+    zeros = Mat.zeros(any_tower, 2, 2)
+    assert matrix_rank(zeros) == 0
+    assert gauss_inverse(any_tower, zeros) is None
+    assert gauss_solve(any_tower, Mat(()), ()) == []
+
+
+def test_products_across_towers_raise_with_zero_operands(tower2, tower3):
+    # every pair of operands has a zero, so no product is ever formed
+    o2, z2, o3, z3 = tower2.one(), tower2.zero(), tower3.one(), tower3.zero()
+    a = Mat(((o2, z2),))
+    with pytest.raises(FieldMismatch):
+        a @ Mat(((z3,), (o3,)))
+    with pytest.raises(FieldMismatch):
+        a.matvec((z3, o3))
+    with pytest.raises(FieldMismatch):
+        Mat.zeros(tower2, 2, 2) @ Mat.zeros(tower3, 2, 2)

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from tml.errors import NonInvertibleLeading, ShapeMismatch
+from tml.errors import FieldMismatch, NonInvertibleLeading, ShapeMismatch
 from tml.fields import FieldTower, FiniteField, Poly, RatFunc
 from tml.linalg import Mat
 from tml.ore import OrePoly, left_multiple_witness, right_divide
@@ -172,3 +172,59 @@ def test_witness_recheck_survives_optimized_mode():
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "refused: witness failed independent re-expansion\n"
+
+
+# -- differential test of composition against a schoolbook reference --------
+
+def _ref_compose(f, g):
+    """Every a_i * b_j^(q^i), zeros included, summed by tau-degree."""
+    zero = f.tower.zero()
+    out = [[[zero] * g.cols for _ in range(f.rows)]
+           for _ in range(len(f.coeffs) + len(g.coeffs))]
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            bt, cells = b.frob(i), out[i + j]
+            for r in range(f.rows):
+                for c in range(g.cols):
+                    for k in range(f.cols):
+                        cells[r][c] = cells[r][c] + a[r, k] * bt[k, c]
+    return OrePoly(f.tower, f.rows, g.cols, [Mat(tuple(map(tuple, m)))
+                                             for m in out])
+
+
+def _sparse_op(rng, sparse_mat, tower, rows, cols, degree):
+    mats = [sparse_mat(rng, tower, rows, cols) for _ in range(degree + 1)]
+    if degree > 1:
+        mats[1] = Mat.zeros(tower, rows, cols)
+    return OrePoly(tower, rows, cols, mats)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_composition_matches_schoolbook(any_tower, sparse_mat, seed):
+    rng = random.Random(seed)
+    for m, k, n in ((1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2)):
+        f = _sparse_op(rng, sparse_mat, any_tower, m, k, rng.randrange(3))
+        g = _sparse_op(rng, sparse_mat, any_tower, k, n, rng.randrange(3))
+        fg = f * g
+        assert fg == _ref_compose(f, g)
+        for d in range(len(f.coeffs) + len(g.coeffs) - 1):
+            for r in range(m):
+                for c in range(n):
+                    if all(f.coeff(i)[r, x].is_zero()
+                           or g.coeff(d - i)[x, c].is_zero()
+                           for i in range(d + 1) for x in range(k)):
+                        assert fg.coeff(d)[r, c].is_zero()
+        h = _sparse_op(rng, sparse_mat, any_tower, n, n, rng.randrange(2))
+        assert (fg * h) == f * (g * h)
+    zero = OrePoly.zero(any_tower, 2, 2)
+    f = _sparse_op(rng, sparse_mat, any_tower, 2, 2, 1)
+    assert (f * zero).is_zero() and (zero * f).is_zero()
+
+
+def test_composition_across_towers_raises_with_zero_operands(tower2,
+                                                             tower3):
+    # every pair of operands has a zero, so no product is ever formed
+    f = OrePoly(tower2, 1, 2, (Mat(((tower2.one(), tower2.zero()),)),))
+    g = OrePoly(tower3, 2, 1, (Mat(((tower3.zero(),), (tower3.one(),))),))
+    with pytest.raises(FieldMismatch):
+        f * g
