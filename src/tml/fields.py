@@ -141,12 +141,12 @@ class FiniteField:
 
     def __init__(self, p, e=1, modulus=None, gen_name=None):
         if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+            raise BadParameter(f"p must be prime, got {p}")
         if e < 1:
-            raise ValueError(f"e must be positive, got {e}")
+            raise BadParameter(f"e must be positive, got {e}")
         if p > P_LIMIT or e > E_LIMIT:
-            raise ValueError(f"field size out of range: p={p}, e={e} "
-                             f"(p <= {P_LIMIT}, e <= {E_LIMIT})")
+            raise BadParameter(f"field size out of range: p={p}, e={e} "
+                               f"(p <= {P_LIMIT}, e <= {E_LIMIT})")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -155,9 +155,9 @@ class FiniteField:
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree e")
+                raise BadParameter("modulus must be monic of degree e")
             if e > 1 and not _is_irreducible(Poly(FiniteField(p), modulus)):
-                raise ValueError("modulus is reducible")
+                raise BadParameter("modulus is reducible")
         self.modulus = modulus
         if gen_name is None and e > 1:
             gen_name = "g"
@@ -637,7 +637,9 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den.degree == 0
+        # the monic denominator of a polynomial is 1: rep 1 over F_2, else (1,)
+        rep = self.den.rep
+        return rep == 1 or rep == (1,)
 
     def __add__(self, other):
         if self.field is other.field:
@@ -659,7 +661,8 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_poly() and other.is_poly():
+        a, b = self.den.rep, other.den.rep
+        if (a == 1 or a == (1,)) and (b == 1 or b == (1,)):
             return RatFunc(self.num * other.num, self.den, trusted=True)
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -960,7 +963,10 @@ class TowerElement:
         if self.tower.parent is None:
             return self.data.is_zero()
         # a coordinate is zero exactly when its numerator's rep is empty
-        return not any(c.num.rep for c in self.data)
+        for c in self.data:
+            if c.num.rep:
+                return False
+        return True
 
     def zero(self):
         return self.tower.zero()

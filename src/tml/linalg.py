@@ -77,8 +77,11 @@ class Mat:
     def matvec(self, vec):
         if self.cols != len(vec):
             raise ShapeMismatch("matrix-vector size mismatch")
+        if self.rows and not vec:
+            # the product is a vector of zeros, but no entry names the field
+            raise ShapeMismatch(f"{self.rows}x0 matrix times an empty vector")
         cells = [[None] for _ in range(self.rows)]
-        zero = _zero_of(self.data[0][0], vec[0]) if cells and vec else None
+        zero = _zero_of(self.data[0][0], vec[0]) if cells else None
         _mul_into(cells, _sparse_rows(self.data), _sparse_rows(zip(vec)))
         return tuple(v for v, in _filled(cells, zero))
 
@@ -91,7 +94,7 @@ class Mat:
     def frob(self, i):
         if i == 0:
             return self
-        return self.map(lambda a: a.frob(i))
+        return self.map(lambda a: a if a.is_zero() else a.frob(i))
 
     def transpose(self):
         return Mat(tuple(zip(*self.data))) if self.data else Mat(())

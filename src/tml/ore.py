@@ -110,13 +110,19 @@ class OrePoly:
                  for _ in range(self.degree + other.degree + 1)]
         left = [_sparse_rows(a.data) for a in self.coeffs]
         # a twist costs one Frobenius per entry: twist only the rows of
-        # b_j that a_i reads, those indexed by a_i's nonzero columns
+        # b_j that a_i reads, those indexed by a_i's nonzero columns, and
+        # build each twist on the last one formed (twisted[k] holds row k
+        # of b_j raised to the q**level[k])
         used = [{k for row in a for k, _ in row} for a in left]
         for j, b in enumerate(other.coeffs):
-            right = _sparse_rows(b.data)
+            twisted = _sparse_rows(b.data)
+            level = [0] * len(twisted)
             for i, a in enumerate(left):
-                twisted = [[(c, y.frob(i)) for c, y in row] if k in used[i]
-                           else () for k, row in enumerate(right)]
+                for k in used[i]:
+                    gap = i - level[k]
+                    if gap:
+                        twisted[k] = [(c, y.frob(gap)) for c, y in twisted[k]]
+                        level[k] = i
                 _mul_into(cells[i + j], a, twisted)
         zero = self.tower.zero()
         return OrePoly(self.tower, self.rows, other.cols,
@@ -247,9 +253,11 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     if p.is_zero():
         return None if not g.is_zero() else OrePoly.zero(tower, s, s)
     max_deg = max(bound + p.degree, g.degree)
-    # twisted copies of p's coefficients, indexed by the tau-degree of Q
-    twisted = [[p.coeff(j).frob(i) for j in range(p.degree + 1)]
-               for i in range(bound + 1)]
+    # twisted copies of p's coefficients, indexed by the tau-degree of
+    # Q; each is one Frobenius step from the one before
+    twisted = [p.coeffs]
+    for _ in range(bound):
+        twisted.append(tuple(c.frob(1) for c in twisted[-1]))
     nunk = (bound + 1) * s
     rows_out = []
     for r in range(s):

@@ -107,12 +107,22 @@ class KernelSubgroup:
         basis = kernel_basis(self.module.tower, dp)
         if not basis:
             return None
-        da = self.module.differential(a)
+        # the s x m block dp * a(a_0); the m x m differential is not formed
+        block = self.module.differential(a, dp)
         for v in basis:
-            img = da.matvec(v)
-            if not all(x.is_zero() for x in dp.matvec(img)):
+            if not all(x.is_zero() for x in block.matvec(v)):
                 return v
         return None
+
+    def _pullback(self, a: Poly) -> OrePoly:
+        """p * phi(a) for the presentation p, by Horner's rule on p:
+        composition is associative and constants of F_q commute with tau,
+        so the m x m action of a is never formed."""
+        module = self.module
+        if a.field != module.tower.fq:
+            raise FieldMismatch("polynomial over a different F_q")
+        p = self.presentation
+        return a.at(module.phi_t, lambda c: p.scale(module.tower.const(c)))
 
     def tangent_preserved(self, a: Poly) -> bool:
         """Does the differential of the action preserve the tangent space
@@ -136,7 +146,7 @@ class KernelSubgroup:
         esc = self._tangent_escape(a)
         if esc is not None:
             return ProvablyUnstable("tangent-escape", vector=esc)
-        g = p * self.module.act(a)
+        g = self._pullback(a)
         for c in range(p.cols):
             # an axis inside the kernel that the action maps onto a
             # nonzero column can never stay inside the kernel

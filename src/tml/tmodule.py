@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (CertificateError, FieldMismatch, NotNilpotent,
-                     ShapeMismatch)
+from .errors import (BadParameter, CertificateError, FieldMismatch,
+                     NotNilpotent, ShapeMismatch)
 from .fields import Poly
 from .linalg import Mat
 from .ore import OrePoly
@@ -113,16 +113,27 @@ class TModule:
         ident = OrePoly.identity(self.tower, self.dimension)
         return a.at(self.phi_t, lambda c: ident.scale(self.tower.const(c)))
 
-    def differential(self, a: Poly) -> Mat:
-        """The tangent action: the base polynomial evaluated at a_0."""
-        if a.field != self.tower.fq:
+    def differential(self, a: Poly, left: Mat | None = None) -> Mat:
+        """The tangent action: the base polynomial evaluated at a_0.
+
+        With a k x m matrix left, returns left * a(a_0) by Horner's rule
+        on left's rows, without forming the m x m matrix a(a_0).
+        """
+        tower = self.tower
+        if a.field != tower.fq:
             raise FieldMismatch("polynomial over a different F_q")
-        ident = Mat.identity(self.tower, self.dimension)
-        acc = Mat.zeros(self.tower, self.dimension, self.dimension)
-        for c in reversed(a.coeffs):
+        if left is None:
+            left = Mat.identity(tower, self.dimension)
+        elif left.cols != self.dimension:
+            raise ShapeMismatch("left factor column count must match the dimension")
+        coeffs = a.coeffs
+        if not coeffs:
+            return Mat.zeros(tower, left.rows, self.dimension)
+        acc = left.scale(tower.const(coeffs[-1]))
+        for c in reversed(coeffs[:-1]):
             acc = acc @ self.a0
             if c:
-                acc = acc + ident.scale(self.tower.const(c))
+                acc = acc + left.scale(tower.const(c))
         return acc
 
     def j_bound(self) -> int:
@@ -175,7 +186,7 @@ def carlitz_tensor(tower, n: int) -> TModule:
     """The n-th tensor power pattern: T*I + superdiagonal nilpotent,
     plus a single twist entry in the lower-left corner."""
     if n < 1:
-        raise ValueError("tensor power must be at least 1")
+        raise BadParameter(f"tensor power must be at least 1, got {n}")
     z, o, t = tower.zero(), tower.one(), tower.T()
     a0 = Mat(tuple(tuple(t if i == j else (o if j == i + 1 else z)
                          for j in range(n)) for i in range(n)))

@@ -295,7 +295,7 @@ def root_of_square_identity(ext: FieldTower, w) -> bool:
     fq = ext.fq
     t_squared = Poly(fq, (0, 0, 1))
     lhs = sqrt_twist(ext).phi_t.evaluate((w,))[0]
-    rhs = carlitz(ext).act(t_squared).evaluate((w.frob(1),))[0]
+    rhs = act_on_point(carlitz(ext), t_squared, (w.frob(1),))[0]
     return lhs.frob(1) == rhs
 
 

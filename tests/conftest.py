@@ -53,6 +53,12 @@ def any_tower(request):
     return _tower(*TOWERS[request.param])
 
 
+@pytest.fixture(params=sorted(n for n, (_, _, d) in TOWERS.items() if d < 2))
+def shallow_tower(request):
+    """The towers of any_tower at depths 0 and 1."""
+    return _tower(*TOWERS[request.param])
+
+
 def _sparse_elem(rng, tower):
     """Zero half of the time, else coordinates that are each zero half
     of the time; at depth 2, where an inverse solves a system of the

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tml.errors import FieldMismatch, ZeroDivisor
+from tml.errors import BadParameter, FieldMismatch, TmlError, ZeroDivisor
 from tml.fields import (FieldTower, FiniteField, Poly, RatFunc, frobenius,
                         pth_root, ratfunc_substitute, substitute)
 
@@ -32,6 +32,15 @@ def test_field_constructor_rejects_bad_input():
         FiniteField(4)
     with pytest.raises(ValueError):
         FiniteField(2, 2, modulus=(1, 0, 1))  # (x+1)^2 is reducible
+
+
+@pytest.mark.parametrize("args", [(4,), (2, 0), (17, 1),
+                                  (2, 2, (1, 0, 1)), (3, 2, (1, 1))])
+def test_field_parameter_errors_are_bad_parameter(args):
+    with pytest.raises(BadParameter) as info:
+        FiniteField(*args)
+    assert isinstance(info.value, TmlError)
+    assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("p,e", [(17, 1), (2, 5)])

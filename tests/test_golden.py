@@ -2,8 +2,10 @@
 
 Each case runs tml.cli.main in-process and compares its stdout and exit
 code with tests/golden/<case>.out and the "exit" entry of
-tests/golden/exits.json.  After a deliberate output change, rewrite the
-files with
+tests/golden/exits.json.  The cases cover the two packaged manifests and
+the small manifests in tests/golden/manifests over F_3, F_9, F_4 with
+U^2 = T, F_5 with V^2 = T and F_343.  After a deliberate output change,
+rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,11 +23,75 @@ from tml.cli import main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 MANIFESTS = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src", "tml",
                          "manifests")
+CROSS_MANIFESTS = os.path.join(GOLDEN, "manifests")
 
 # per manifest: module, subgroup, poly and point names
 _OBJECTS = {
     "prop3": ("Cten2", "Axis", "tsq", "origin"),
     "root_twist": ("RootPair", "Squares", "t", "Seed"),
+}
+
+
+
+def _stability(subgroup, poly):
+    return ["stability", "--subgroup", subgroup, "--poly", poly]
+
+
+# per cross-field manifest: one stability case per verdict kind (a
+# tangent vector escapes, a kernel axis escapes, no witness, stable), plus
+# act, minimal-j, exp and an exhaustive torsion search.  Over F_343 the
+# exponential stops at order 1, since order 2 twists T to T^(343^2).
+_CROSS = {
+    "f3": {
+        "act": ["act", "--module", "Cten2", "--poly", "tt"],
+        "stability-tangent": _stability("Axis", "t"),
+        "stability-axis": _stability("Axis", "t3"),
+        "stability-inconclusive": _stability("Twist", "t"),
+        "stability-stable": _stability("Diag", "tt"),
+        "minimal-j": ["minimal-j", "--subgroup", "Axis"],
+        "exp": ["exp", "--module", "Cten2", "--order", "2"],
+        "torsion": ["torsion", "--point", "Q", "--bound", "3"],
+    },
+    "f9": {
+        "act": ["act", "--module", "C1", "--poly", "tg"],
+        "stability-tangent": _stability("Axis", "t"),
+        "stability-axis": _stability("Second", "t"),
+        "stability-inconclusive": _stability("Diag", "t"),
+        "stability-stable": _stability("PairAxis", "tg"),
+        "minimal-j": ["minimal-j", "--subgroup", "Axis"],
+        "exp": ["exp", "--module", "C1", "--order", "2"],
+        "torsion": ["torsion", "--point", "P", "--bound", "3"],
+    },
+    "f4u": {
+        "act": ["act", "--module", "RootPair", "--poly", "t2"],
+        "stability-tangent": _stability("Axis", "t"),
+        "stability-axis": _stability("Column", "t"),
+        "stability-inconclusive": _stability("Squares", "t"),
+        "stability-stable": _stability("Second", "t2"),
+        "minimal-j": ["minimal-j", "--subgroup", "Axis"],
+        "exp": ["exp", "--module", "RootPair", "--order", "2"],
+        "torsion": ["torsion", "--point", "Seed", "--bound", "3"],
+    },
+    "f5v": {
+        "act": ["act", "--module", "Pair", "--poly", "t5"],
+        "stability-tangent": _stability("Axis", "t"),
+        "stability-axis": _stability("Axis", "t5"),
+        "stability-inconclusive": _stability("Graph", "t"),
+        "stability-stable": _stability("Second", "t5"),
+        "minimal-j": ["minimal-j", "--subgroup", "Axis"],
+        "exp": ["exp", "--module", "Cten2", "--order", "2"],
+        "torsion": ["torsion", "--point", "Seed", "--bound", "3"],
+    },
+    "f343": {
+        "act": ["act", "--module", "Cten2", "--poly", "t"],
+        "stability-tangent": _stability("Axis", "t"),
+        "stability-axis": _stability("Second", "t"),
+        "stability-inconclusive": _stability("Diag", "t"),
+        "stability-stable": _stability("PairAxis", "t"),
+        "minimal-j": ["minimal-j", "--subgroup", "PairAxis"],
+        "exp": ["exp", "--module", "C1", "--order", "1"],
+        "torsion": ["torsion", "--point", "P", "--bound", "2"],
+    },
 }
 
 
@@ -44,6 +110,10 @@ def _cases():
         }
         for name, argv in commands.items():
             path = os.path.join(MANIFESTS, stem + ".tml")
+            cases[f"{name}-{stem}"] = argv + ["--manifest", path]
+    for stem, commands in _CROSS.items():
+        for name, argv in commands.items():
+            path = os.path.join(CROSS_MANIFESTS, stem + ".tml")
             cases[f"{name}-{stem}"] = argv + ["--manifest", path]
     for name, argv in list(cases.items()):
         cases[name + "-json"] = argv + ["--format", "json"]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tml.errors import FieldMismatch
+from tml.errors import FieldMismatch, ShapeMismatch
 from tml.fields import Poly, RatFunc
 from tml.linalg import (Mat, gauss_inverse, gauss_solve, kernel_basis,
                         matrix_rank)
@@ -215,6 +215,14 @@ def test_products_of_empty_matrices(tower2):
     assert one_by_zero @ empty == one_by_zero
     o = tower2.one()
     assert (Mat(((o,),)) @ Mat(((),))) == Mat(((),))
+
+
+def test_matvec_with_no_columns_raises(tower2):
+    # m x 0 times the empty vector has no entry to take a zero from
+    with pytest.raises(ShapeMismatch):
+        Mat(((),)).matvec(())
+    with pytest.raises(ShapeMismatch):
+        Mat(((), ())).matvec(())
 
 
 @pytest.mark.parametrize("seed", range(2))

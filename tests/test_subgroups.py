@@ -1,13 +1,15 @@
+import random
+
 import pytest
 
 from tml.corpus import (axis_subgroup, base_field_tower, graph_modules,
                         tensor_square)
 from tml.fields import Poly
-from tml.linalg import Mat
+from tml.linalg import Mat, gauss_solve, kernel_basis
 from tml.ore import OrePoly
 from tml.subgroups import (KernelSubgroup, NoWitnessUpTo, ProvablyUnstable,
                            Stable, minimal_j_scan)
-from tml.tmodule import carlitz, carlitz_tensor
+from tml.tmodule import TModule, carlitz, carlitz_tensor
 
 
 def _t_monomial(fq, j):
@@ -138,3 +140,120 @@ def test_tangent_preserved_matches_verdicts(tower2):
     axis = axis_subgroup(module)
     assert not axis.tangent_preserved(_t_monomial(tower2.fq, 1))
     assert axis.tangent_preserved(_t_monomial(tower2.fq, 2))
+
+
+# -- differential test: pullbacks on the presentation's side against the
+# full m x m action and differential -----------------------------------
+
+def _ref_witness(p, g, bound):
+    """Q with Q*p == g and deg Q <= bound, or None: one equation per
+    entry of each tau-degree of Q*p, with every twist formed directly
+    from p's entries.  Free unknowns are zero, and the reduced echelon
+    form is unique, so a solution is the one left_multiple_witness finds."""
+    tower, s, m = p.tower, p.rows, p.cols
+    zero = tower.zero()
+    rows = []
+    for r in range(s):
+        eqs, rhs = [], []
+        for n in range(max(bound + p.degree, g.degree) + 1):
+            for c in range(m):
+                eqs.append([p.coeff(n - i)[k, c].frob(i) if i <= n else zero
+                            for i in range(bound + 1) for k in range(s)])
+                rhs.append(g.coeff(n)[r, c])
+        sol = gauss_solve(tower, eqs, rhs)
+        if sol is None:
+            return None
+        rows.append(sol)
+    return OrePoly(tower, s, s, [Mat(tuple(tuple(rows[r][i * s + k]
+                                                 for k in range(s))
+                                           for r in range(s)))
+                                 for i in range(bound + 1)])
+
+
+def _ref_differential(module, a):
+    """a(a_0) as the sum of c_i * a_0^i."""
+    tower, m = module.tower, module.dimension
+    acc, power = Mat.zeros(tower, m, m), Mat.identity(tower, m)
+    for c in a.coeffs:
+        if c:
+            acc = acc + power.scale(tower.const(c))
+        power = power @ module.a0
+    return acc
+
+
+def _ref_stability(sub, a):
+    """The verdict as computed from the m x m action and differential."""
+    module, p = sub.module, sub.presentation
+    tower = module.tower
+    if p.rows == 0:
+        return Stable(OrePoly.zero(tower, 0, 0))
+    dp = p.coeff(0)
+    basis = kernel_basis(tower, dp)
+    if basis:
+        da = _ref_differential(module, a)
+        for v in basis:
+            if not all(x.is_zero() for x in dp.matvec(da.matvec(v))):
+                return ProvablyUnstable("tangent-escape", vector=v)
+    g = p * module.act(a)
+    for c in range(p.cols):
+        in_kernel = all(m[r, c].is_zero() for m in p.coeffs
+                        for r in range(p.rows))
+        if in_kernel and any(not m[r, c].is_zero() for m in g.coeffs
+                             for r in range(g.rows)):
+            return ProvablyUnstable("escaping-axis", column=c)
+    bound = max(g.degree, 0)
+    q = _ref_witness(p, g, bound)
+    return NoWitnessUpTo(bound) if q is None else Stable(q)
+
+
+def _small_entry(rng, tower):
+    """0, 1, T, the tower's generator or their sum, mostly zero."""
+    picks = [tower.zero()] * 3 + [tower.one(), tower.T()]
+    if tower.parent is not None:
+        picks += [tower.gen(), tower.gen() + tower.T()]
+    return rng.choice(picks)
+
+
+def _random_subgroup(rng, tower, sparse_elem):
+    """A module T*I + (superdiagonal) + one or two twist terms, and a
+    nonzero presentation of tau-degree 0 or 1 with one or two rows."""
+    m = rng.choice((1, 2, 2))
+    s = rng.choice((1, 1, 2)) if m == 2 else 1
+    t = tower.T()
+    a0 = Mat(tuple(tuple(t if r == c else
+                         (_small_entry(rng, tower) if c == r + 1
+                          else tower.zero())
+                         for c in range(m)) for r in range(m)))
+    mats = [a0] + [Mat(tuple(tuple(_small_entry(rng, tower)
+                                   for _ in range(m)) for _ in range(m)))
+                   for _ in range(rng.randrange(1, 3))]
+    module = TModule(tower, mats)
+    while True:
+        pres = OrePoly(tower, s, m, [
+            Mat(tuple(tuple(sparse_elem(rng, tower) if d == 0
+                            and rng.random() < 0.3
+                            else _small_entry(rng, tower)
+                            for _ in range(m)) for _ in range(s)))
+            for d in range(rng.randrange(1, 3))])
+        if not pres.is_zero():
+            return KernelSubgroup(module, pres)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_pullbacks_and_verdicts_match_the_full_action(shallow_tower,
+                                                      sparse_elem, seed):
+    tower = shallow_tower
+    fq = tower.fq
+    rng = random.Random(300 + seed)
+    for _ in range(4):
+        sub = _random_subgroup(rng, tower, sparse_elem)
+        module, p = sub.module, sub.presentation
+        polys = [Poly.zero(fq), Poly(fq, (rng.randrange(1, fq.q),)),
+                 Poly(fq, [rng.randrange(fq.q) for _ in range(2)] + [1]),
+                 Poly(fq, [rng.randrange(fq.q) for _ in range(3)] + [1])]
+        for a in polys:
+            assert sub._pullback(a) == p * module.act(a)
+            da = _ref_differential(module, a)
+            assert module.differential(a) == da
+            assert module.differential(a, p.coeff(0)) == p.coeff(0) @ da
+            assert sub.stability(a) == _ref_stability(sub, a)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tml.errors import NotNilpotent
+from tml.errors import BadParameter, NotNilpotent, ShapeMismatch, TmlError
 from tml.fields import FieldTower, FiniteField, Poly
 from tml.linalg import Mat
 from tml.ore import OrePoly
@@ -77,6 +77,17 @@ def test_differential_is_tangent_part(tower2):
         Mat.identity(tower2, 2)
 
 
+def test_differential_with_a_left_factor(tower2):
+    mod = carlitz_tensor(tower2, 2)
+    a = Poly(tower2.fq, (1, 0, 1))
+    row = Mat(((tower2.one(), tower2.T()),))
+    assert mod.differential(a, row) == row @ mod.differential(a)
+    assert mod.differential(Poly.zero(tower2.fq), row) == \
+        Mat.zeros(tower2, 1, 2)
+    with pytest.raises(ShapeMismatch):
+        mod.differential(Poly(tower2.fq, (1,)), Mat(((tower2.one(),),)))
+
+
 def test_j_bound_values(tower2, tower3):
     assert carlitz_tensor(tower2, 2).j_bound() == 2
     assert carlitz_tensor(tower2, 3).j_bound() == 4
@@ -130,3 +141,10 @@ def test_drinfeld_builder_shapes(tower2):
     assert mod.phi_t.scalar_elems() == (t, t, t * t)
     with pytest.raises(ValueError):
         drinfeld(tower2, ())
+
+
+def test_carlitz_tensor_rejects_power_zero(tower2):
+    with pytest.raises(BadParameter) as info:
+        carlitz_tensor(tower2, 0)
+    assert isinstance(info.value, TmlError)
+    assert isinstance(info.value, ValueError)
