@@ -479,12 +479,24 @@ def main(argv=None) -> int:
     except TmlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        payload["exit"] = code
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            payload["exit"] = code
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone and the verdict stands; stdout's descriptor
+        # goes to devnull, so the flush at exit meets no broken pipe
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return code  # a stdout without a descriptor is left as it is
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
     return code
 
 

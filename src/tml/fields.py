@@ -306,12 +306,20 @@ def _poly(field, rep):
 
 
 def _power(x, n, one):
-    """x**n by repeated squaring."""
-    out = one
+    """x**n by repeated squaring from the lowest set bit of n: one
+    squaring per bit below the top one and one product per further set
+    bit, so T**2 is one product and T**16 four."""
+    if not n:
+        return one
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    out = x
+    n >>= 1
     while n:
+        x = x * x
         if n & 1:
             out = out * x
-        x = x * x
         n >>= 1
     return out
 

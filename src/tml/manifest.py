@@ -17,7 +17,10 @@ as the JSON equivalent instead; both share the same value syntax.
 from __future__ import annotations
 
 import json
+import operator
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, ParseError
 from .fields import FiniteField, FieldTower, Poly
@@ -25,54 +28,45 @@ from .linalg import Mat
 from .subgroups import KernelSubgroup
 from .tmodule import TModule
 
-_OPS = set("+-*/^")
-
 # Largest degree a power v^n may reach: n times the total degree of v in T
 # and the tower generators, denominators included.  Well above any worked
 # example; without it "T^99999999999" would run until memory ran out.
 MAX_POWER_DEGREE = 10_000
 
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    col: int
+# Runs of whitespace, runs of word characters, or one other character.
+# In re's Unicode mode \s is exactly str.isspace and \w exactly
+# str.isalnum or '_', so a name is one run that starts with a letter and
+# an integer literal is the str.isdigit prefix of a run.
+_RUNS = re.compile(r"\s+|\w+|.", re.S)
+_MUL = {"*": operator.mul, "/": operator.truediv}
+_ADD = {"+": operator.add, "-": operator.sub}
 
 
 def _tokenize(text, line=None, col_offset=0):
+    """(kind, text, col) tuples ending in ('end', '', col); kind is
+    'name', 'int', or the operator or parenthesis itself."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col = col_offset + i + 1
-        if ch.isspace():
-            i += 1
-        elif ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], col))
-            i = j
+    col = col_offset + 1
+    for run in _RUNS.findall(text):
+        ch = run[0]
+        if ch.isalpha():
+            toks.append(("name", run, col))
         elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+            j = 1
+            while j < len(run) and run[j].isdigit():
                 j += 1
-            toks.append(_Tok("int", text[i:j], col))
-            i = j
-        elif ch in _OPS:
-            toks.append(_Tok("op", ch, col))
-            i += 1
-        elif ch == "(":
-            toks.append(_Tok("lparen", ch, col))
-            i += 1
-        elif ch == ")":
-            toks.append(_Tok("rparen", ch, col))
-            i += 1
-        else:
+            toks.append(("int", run[:j], col))
+            if j < len(run):
+                if not run[j].isalpha():
+                    raise ParseError(f"unexpected character {run[j]!r}",
+                                     line, col + j)
+                toks.append(("name", run[j:], col + j))
+        elif ch in "+-*/^()":
+            toks.append((ch, ch, col))
+        elif not ch.isspace():
             raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("end", "", col_offset + n + 1))
+        col += len(run)
+    toks.append(("end", "", col))
     return toks
 
 
@@ -82,7 +76,7 @@ def _is_name(text):
         toks = _tokenize(text)
     except ParseError:
         return False
-    return len(toks) == 2 and toks[0].kind == "name" and toks[0].text == text
+    return len(toks) == 2 and toks[0][:2] == ("name", text)
 
 
 def _total_degree(v):
@@ -93,88 +87,105 @@ def _total_degree(v):
                 if not c.is_zero()), default=0)
 
 
+def _int(text, line, col):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(text)} digits is "
+                         "too long", line, col) from None
+
+
+def _eval(toks, i, env, const, line):
+    """Evaluate the expr that starts at toks[i]: (value, index of the
+    token after it).  Each product and sum is formed as soon as its
+    right operand is read, so errors come in reading order."""
+    total = add = None
+    while True:
+        prod = mul = None
+        while True:
+            kind, text, col = toks[i]
+            i += 1
+            if kind == "name":
+                if text not in env:
+                    raise ParseError(f"unknown name {text!r}", line, col)
+                v = env[text]
+            elif kind == "int":
+                v = const(_int(text, line, col))
+            elif kind == "(":
+                v, i = _eval(toks, i, env, const, line)
+                if toks[i][0] != ")":
+                    raise ParseError("expected ')'", line, toks[i][2])
+                i += 1
+            else:
+                raise ParseError(f"expected a value, found {text or 'end'!r}",
+                                 line, col)
+            if toks[i][0] == "^":
+                caret = toks[i][2]
+                kind, text, col = toks[i + 1]
+                if kind != "int":
+                    raise ParseError("'^' requires an unsigned integer "
+                                     "exponent", line, caret)
+                i += 2
+                n = _int(text, line, col)
+                degree = n * _total_degree(v)
+                if degree > MAX_POWER_DEGREE:
+                    raise ParseError(f"power of degree {degree} exceeds the "
+                                     f"cap of {MAX_POWER_DEGREE}", line, caret)
+                v = v ** n
+            prod = v if mul is None else mul(prod, v)
+            mul = _MUL.get(toks[i][0])
+            if mul is None:
+                break
+            i += 1
+        total = prod if add is None else add(total, prod)
+        add = _ADD.get(toks[i][0])
+        if add is None:
+            return total, i
+        i += 1
+
+
 def eval_expr(text, env, const, line=None, col_offset=0):
     """Evaluate an expression against named values; const maps an
     unsigned integer literal to a value."""
     toks = _tokenize(text, line, col_offset)
-    pos = 0
-
-    def peek():
-        return toks[pos]
-
-    def take():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        return t
-
-    def as_int(t):
-        try:
-            return int(t.text)
-        except ValueError:
-            raise ParseError(f"integer literal of {len(t.text)} digits is "
-                             "too long", line, t.col) from None
-
-    def parse_atom():
-        t = take()
-        if t.kind == "name":
-            if t.text not in env:
-                raise ParseError(f"unknown name {t.text!r}", line, t.col)
-            return env[t.text]
-        if t.kind == "int":
-            return const(as_int(t))
-        if t.kind == "lparen":
-            v = parse_expr()
-            closing = take()
-            if closing.kind != "rparen":
-                raise ParseError("expected ')'", line, closing.col)
-            return v
-        raise ParseError(f"expected a value, found {t.text or 'end'!r}",
-                         line, t.col)
-
-    def parse_factor():
-        v = parse_atom()
-        t = peek()
-        if t.kind == "op" and t.text == "^":
-            caret = take()
-            e = peek()
-            if e.kind != "int":
-                raise ParseError("'^' requires an unsigned integer exponent",
-                                 line, caret.col)
-            take()
-            n = as_int(e)
-            degree = n * _total_degree(v)
-            if degree > MAX_POWER_DEGREE:
-                raise ParseError(f"power of degree {degree} exceeds the cap "
-                                 f"of {MAX_POWER_DEGREE}", line, caret.col)
-            v = v ** n
-        return v
-
-    def parse_term():
-        v = parse_factor()
-        while peek().kind == "op" and peek().text in ("*", "/"):
-            op = take()
-            w = parse_factor()
-            v = v * w if op.text == "*" else v / w
-        return v
-
-    def parse_expr():
-        v = parse_term()
-        while peek().kind == "op" and peek().text in ("+", "-"):
-            op = take()
-            w = parse_term()
-            v = v + w if op.text == "+" else v - w
-        return v
-
-    value = parse_expr()
-    t = peek()
-    if t.kind != "end":
-        raise ParseError(f"unexpected trailing {t.text!r}", line, t.col)
+    value, i = _eval(toks, 0, env, const, line)
+    kind, rest, col = toks[i]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing {rest!r}", line, col)
     return value
 
 
-@dataclass(frozen=True)
-class _Val:
+class _Scope:
+    """What the expressions of one parse see at one tower: T, the tower
+    generators and the field generator by name, and integer literals,
+    made once per reduced F_q element.  Every parse makes its own, so
+    nothing outlives it."""
+
+    __slots__ = ("tower", "env", "memo")
+
+    def __init__(self, tower):
+        fq = tower.fq
+        self.tower = tower
+        self.env = {"T": tower.T()}
+        for anc in tower.ancestors()[1:]:
+            self.env[anc.name] = tower.embed(anc.gen())
+        if fq.e > 1:
+            self.env[fq.gen_name] = tower.const(fq.p)
+        self.memo = {}
+
+    def const(self, n):
+        c = self.tower.fq.elem(n)
+        if c not in self.memo:
+            self.memo[c] = self.tower.const(c)
+        return self.memo[c]
+
+    def values(self, vals):
+        """The values of a list of _Val expressions."""
+        return [eval_expr(v.text, self.env, self.const, v.line, v.col - 1)
+                for v in vals]
+
+
+class _Val(NamedTuple):
     """A raw value with its source position; JSON values have no line
     and start at column 1."""
     text: str
@@ -242,26 +253,34 @@ def _lead(s):
     return len(s) - len(s.lstrip())
 
 
+_SEPARATORS = re.compile(r"[\[\],]")
+
+
 def _split_commas(val: _Val):
     """Split a value on top-level commas, keeping positions."""
-    parts = []
+    text = val.text
+    cuts = [-1]
     depth = 0
-    start = 0
-    for i, ch in enumerate(val.text):
-        if ch == "[":
+    for m in _SEPARATORS.finditer(text):
+        i = m.start()
+        if text[i] == "[":
             depth += 1
-        elif ch == "]":
+        elif text[i] == "]":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced ']'", val.line, val.col + i)
-        elif ch == "," and depth == 0:
-            parts.append((val.text[start:i], start))
-            start = i + 1
+        elif not depth:
+            cuts.append(i)
     if depth != 0:
-        raise ParseError("unbalanced '['", val.line, val.col + len(val.text))
-    parts.append((val.text[start:], start))
-    return [_Val(p.strip(), val.line, val.col + off + _lead(p))
-            for p, off in parts]
+        raise ParseError("unbalanced '['", val.line, val.col + len(text))
+    cuts.append(len(text))
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        part = text[a + 1:b]
+        rest = part.lstrip()
+        out.append(_Val(rest.rstrip(), val.line,
+                        val.col + a + 1 + len(part) - len(rest)))
+    return out
 
 
 def _split_brackets(val: _Val):
@@ -420,34 +439,17 @@ def build_manifest(sections) -> Manifest:
         raise ParseError("no [field] section")
 
     tower = FieldTower(field)
-
-    def env_and_const(tw):
-        env = {"T": tw.T()}
-        for anc in tw.ancestors():
-            if anc.parent is not None:
-                env[anc.name] = tw.embed(anc.gen())
-        if field.e > 1:
-            env[field.gen_name] = tw.const(field.p)
-        return env, (lambda n: tw.const(field.elem(n)))
-
     for kind, _name, body, line in sections:
         if kind == "tower":
             for name, vals in body.items():
                 for val in vals:
-                    env, const = env_and_const(tower)
-                    coeffs = [eval_expr(v.text, env, const, v.line, v.col - 1)
-                              for v in _split_commas(val)]
+                    coeffs = _Scope(tower).values(_split_commas(val))
                     try:
                         tower = tower.extend(name, coeffs)
                     except Exception as exc:
                         raise ParseError(str(exc), val.line, val.col) from None
 
-    env, const = env_and_const(tower)
-
-    def eval_list(val):
-        return [eval_expr(v.text, env, const, v.line, v.col - 1)
-                for v in _split_commas(val)]
-
+    scope = _Scope(tower)
     modules = {}
     for kind, name, body, line in sections:
         if kind != "module":
@@ -479,7 +481,7 @@ def build_manifest(sections) -> Manifest:
             if idx in mats:
                 raise ParseError(f"duplicate key {key!r} (tau index {idx})",
                                  val.line, 1)
-            entries = eval_list(val)
+            entries = scope.values(_split_commas(val))
             if len(entries) != m * m:
                 raise ParseError(f"{key} needs {m * m} entries, got "
                                  f"{len(entries)}", val.line, val.col)
@@ -514,8 +516,7 @@ def build_manifest(sections) -> Manifest:
                 raise ParseError(f"row needs {module.dimension} bracket "
                                  f"groups, got {len(groups)}",
                                  val.line, val.col)
-            entries.append([[eval_expr(v.text, env, const, v.line, v.col - 1)
-                             for v in group] for group in groups])
+            entries.append([scope.values(group) for group in groups])
         try:
             subgroups[name] = KernelSubgroup.from_entries(module, entries)
         except Exception as exc:
@@ -529,7 +530,8 @@ def build_manifest(sections) -> Manifest:
         if name in points:
             raise ParseError(f"duplicate point {name!r}", line, 1)
         _check_keys(body, {"module", "coords"}, "point", line)
-        coords = eval_list(_single(body, "coords", "point", line))
+        coords = scope.values(_split_commas(_single(body, "coords", "point",
+                                                    line)))
         mod_val = _single(body, "module", "point", line, required=False)
         mod_name = None
         if mod_val:
@@ -623,12 +625,8 @@ def poly_from_text(field: FiniteField, text: str, line=None,
     """Parse a base polynomial expression, as [poly] sections and --poly
     do; denominators are rejected.  Errors are placed as if the text
     began at column col of the given line."""
-    base = FieldTower(field)
-    env = {"T": base.T()}
-    if field.e > 1:
-        env[field.gen_name] = base.const(field.p)
-    elem = eval_expr(text, env, lambda n: base.const(field.elem(n)), line,
-                     col - 1)
+    scope = _Scope(FieldTower(field))
+    elem = eval_expr(text, scope.env, scope.const, line, col - 1)
     rf = elem.data
     if rf.den.degree != 0 or not rf.den.is_monic():
         raise ParseError("base polynomial may not have a denominator",

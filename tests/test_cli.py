@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import json
 import os
 import random
@@ -363,3 +366,42 @@ def test_help_wraps_at_the_width_when_printed(capsys, monkeypatch):
         assert code == 0
         widths[columns] = max(len(line) for line in out.splitlines())
     assert widths[60] <= 60 < widths[120] <= 120
+
+
+F9_STABILITY = ("stability", "--subgroup", "Second", "--poly", "t",
+                "--manifest", "tests/golden/manifests/f9.tml")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_keeps_the_verdict(capsys, fmt):
+    code, out, err = _run(capsys, *F9_STABILITY, "--format", fmt)
+    assert code == 1 and out
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert main([*F9_STABILITY, "--format", fmt]) == code
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_closing_the_pipe_leaves_no_traceback(unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    for read_first_line in (False, True, True):
+        proc = subprocess.Popen([sys.executable, "-m", "tml.cli",
+                                 *F9_STABILITY],
+                                cwd=REPO, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        # closed before the first write, every write meets the broken
+        # pipe; closed after the first line, the rest may or may not
+        if read_first_line:
+            assert proc.stdout.readline().startswith(b"stability of Second")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from tml.errors import BadParameter, FieldMismatch, TmlError, ZeroDivisor
-from tml.fields import (FieldTower, FiniteField, Poly, RatFunc, frobenius,
-                        pth_root, ratfunc_substitute, substitute)
+from tml.fields import (FieldTower, FiniteField, Poly, RatFunc, _power,
+                        frobenius, pth_root, ratfunc_substitute, substitute)
 
 
 def test_prime_field_tables(f3):
@@ -207,3 +207,62 @@ def test_substitute_polynomial_at_tower_element(tower2):
     assert substitute(p, t) == tower2.one() + t * t
     rf = RatFunc(Poly.one(tower2.fq), Poly(tower2.fq, (0, 1)))
     assert ratfunc_substitute(rf, t) == t.inverse()
+
+
+def _assert_powers_by_repeated_multiplication(x, one, top=40):
+    acc = one
+    for n in range(top + 1):
+        assert x ** n == acc, n
+        acc = acc * x
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (3, 2)])
+def test_poly_power_matches_repeated_multiplication(p, e, rng):
+    fq = FiniteField(p, e)
+    for _ in range(3):
+        x = Poly(fq, [rng.randrange(fq.q) for _ in range(3)] + [1])
+        _assert_powers_by_repeated_multiplication(x, Poly.one(fq))
+    _assert_powers_by_repeated_multiplication(Poly.zero(fq), Poly.one(fq))
+
+
+def test_ratfunc_power_matches_repeated_multiplication(f3, rng):
+    for _ in range(3):
+        num = Poly(f3, [rng.randrange(3) for _ in range(3)] + [2])
+        den = Poly(f3, [rng.randrange(1, 3)] + [rng.randrange(3), 1])
+        _assert_powers_by_repeated_multiplication(RatFunc(num, den),
+                                                  RatFunc.one(f3))
+
+
+def test_tower_power_matches_repeated_multiplication(any_tower):
+    t = any_tower
+    for x in (t.gen(), t.gen() * t.T() + t.one()):
+        _assert_powers_by_repeated_multiplication(x, t.one())
+    if t.depth < 2:
+        # a denominator at depth 2 makes forty products take seconds
+        x = (t.gen() + t.one()).inverse()
+        _assert_powers_by_repeated_multiplication(x, t.one())
+
+
+def test_power_of_t_over_f2(f2):
+    assert Poly.gen(f2) ** 10000 == Poly(f2, [0] * 10000 + [1])
+
+
+def test_power_forms_only_the_needed_products():
+    """bit_length - 1 squarings and popcount - 1 further products, none
+    with one: T**2, T**3 and T**16 take 1, 2 and 4."""
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(None)
+            return Counted(int(self) * int(other))
+
+    for n in range(41):
+        products.clear()
+        assert _power(Counted(3), n, Counted(1)) == 3 ** n
+        want = n.bit_length() + bin(n).count("1") - 2 if n else 0
+        assert len(products) == want, n
+    for n, want in ((2, 1), (3, 2), (16, 4)):
+        products.clear()
+        _power(Counted(3), n, Counted(1))
+        assert len(products) == want
