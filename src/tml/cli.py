@@ -264,9 +264,7 @@ def cmd_abelian_scan(args):
                      f"keeps twist degree <= {outcome.degree_bound}")
         lines.append("  closed coefficient pattern (X marks a spot that "
                      "can be nonzero, rows split by /):")
-        for i, s in enumerate(outcome.pattern.slices):
-            grid = "/".join("".join("X" if b else "." for b in row)
-                            for row in s)
+        for i, grid in enumerate(outcome.pattern.grids()):
             lines.append(f"    tau^{i}: {grid}")
         payload.update(verdict="nonabelian",
                        degree_bound=outcome.degree_bound)

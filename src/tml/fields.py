@@ -95,6 +95,24 @@ def _is_irreducible(f):
     return f.degree >= 1
 
 
+def _sum_text(coeffs, var):
+    """The expression sum(coeffs[i] * var**i), highest power first, from
+    printed coefficients: a "0" term is left out, a "1" coefficient
+    leaves the bare power, and a coefficient that is a sum is put in
+    parentheses; "0" when every coefficient is "0"."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        cs = coeffs[i]
+        if cs == "0":
+            continue
+        if i:
+            power = var if i == 1 else f"{var}^{i}"
+            cs = (power if cs == "1" else f"({cs})*{power}" if "+" in cs
+                  else f"{cs}*{power}")
+        terms.append(cs)
+    return "+".join(terms) or "0"
+
+
 def _digits(n, p, width):
     out = []
     for _ in range(width):
@@ -122,9 +140,6 @@ class _OnDemand:
         return self.fn(a)
 
 
-_TABLES = ("add_table", "neg_table", "mul_table", "inv_table")
-
-
 class FiniteField:
     """F_q with q = p**e in a polynomial basis over the prime field.
 
@@ -132,12 +147,13 @@ class FiniteField:
     The defining modulus is the first monic irreducible of degree e in
     lexicographic coefficient order unless one is supplied.
 
-    The arithmetic is four tables built on first use, add_table[a][b],
+    The arithmetic is four tables built with the field, add_table[a][b],
     neg_table[a], mul_table[a][b] and inv_table[a] (inv_table[0] is 0):
     lists up to q = TABLE_LIMIT, and above it entries computed on access.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "gen_name", "key") + _TABLES
+    __slots__ = ("p", "e", "q", "modulus", "gen_name", "key", "add_table",
+                 "neg_table", "mul_table", "inv_table")
 
     def __init__(self, p, e=1, modulus=None, gen_name=None):
         if not _is_prime(p):
@@ -163,6 +179,7 @@ class FiniteField:
             gen_name = "g"
         self.gen_name = gen_name
         self.key = (p, e, modulus)
+        self._build_tables()
 
     @staticmethod
     def _find_modulus(p, e):
@@ -174,13 +191,6 @@ class FiniteField:
             if _is_irreducible(Poly(fp, cand)):
                 return cand
         raise AssertionError("no irreducible modulus found")
-
-    def __getattr__(self, name):
-        # only reached while a table slot is still unset
-        if name not in _TABLES:
-            raise AttributeError(name)
-        self._build_tables()
-        return getattr(self, name)
 
     def _build_tables(self):
         p, q = self.p, self.q
@@ -266,19 +276,8 @@ class FiniteField:
         """Canonical expression string for an encoded element."""
         if self.e == 1:
             return str(a)
-        name = self.gen_name
-        digits = _digits(a, self.p, self.e)
-        terms = []
-        for i in reversed(range(self.e)):
-            c = digits[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = name if i == 1 else f"{name}^{i}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(terms) if terms else "0"
+        return _sum_text(list(map(str, _digits(a, self.p, self.e))),
+                         self.gen_name)
 
     def __eq__(self, other):
         return isinstance(other, FiniteField) and self.key == other.key
@@ -551,27 +550,8 @@ class Poly:
 
     def to_expr(self) -> str:
         """Canonical expression string, highest degree first."""
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        f = self.field
-        terms = []
-        for i in reversed(range(len(coeffs))):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            cs = f.fmt(c)
-            if i == 0:
-                terms.append(cs)
-                continue
-            var = "T" if i == 1 else f"T^{i}"
-            if c == 1:
-                terms.append(var)
-            elif "+" in cs:
-                terms.append(f"({cs})*{var}")
-            else:
-                terms.append(f"{cs}*{var}")
-        return "+".join(terms)
+        fmt = self.field.fmt
+        return _sum_text([fmt(c) if c else "0" for c in self.coeffs], "T")
 
     def __repr__(self):
         return f"Poly({self.to_expr()})"
@@ -1083,26 +1063,7 @@ class TowerElement:
         t = self.tower
         if t.parent is None:
             return self.data.to_expr()
-        if self.is_zero():
-            return "0"
-        terms = []
-        parts = self.parts()
-        for i in reversed(range(len(parts))):
-            c = parts[i]
-            if c.is_zero():
-                continue
-            cs = c.to_expr()
-            if i == 0:
-                terms.append(cs)
-                continue
-            var = t.name if i == 1 else f"{t.name}^{i}"
-            if cs == "1":
-                terms.append(var)
-            elif "+" in cs:
-                terms.append(f"({cs})*{var}")
-            else:
-                terms.append(f"{cs}*{var}")
-        return "+".join(terms)
+        return _sum_text([c.to_expr() for c in self.parts()], t.name)
 
     def __repr__(self):
         return f"TowerElement({self.to_expr()})"

@@ -34,9 +34,7 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(tuple(tuple(o if i == j else z for j in range(n))
-                         for i in range(n)))
+        return cls.scalar(field, n, field.one())
 
     @classmethod
     def scalar(cls, field, n, value):

@@ -32,6 +32,10 @@ from .tmodule import TModule
 # and the tower generators, denominators included.  Well above any worked
 # example; without it "T^99999999999" would run until memory ran out.
 MAX_POWER_DEGREE = 10_000
+# Deepest parenthesis nesting an expression may have.  The evaluator
+# recurses once per level, so without a cap deep nesting would meet
+# Python's recursion limit at a depth that depends on the caller's stack.
+MAX_NESTING = 256
 
 # Runs of whitespace, runs of word characters, or one other character.
 # In re's Unicode mode \s is exactly str.isspace and \w exactly
@@ -91,14 +95,20 @@ def _int(text, line, col):
     try:
         return int(text)
     except ValueError:
+        # str.isdigit, which the tokenizer uses, also admits digits such
+        # as '²' that are not decimal and that int() refuses
+        if not text.isdecimal():
+            raise ParseError(f"integer literal {text!r} is not decimal",
+                             line, col) from None
         raise ParseError(f"integer literal of {len(text)} digits is "
                          "too long", line, col) from None
 
 
-def _eval(toks, i, env, const, line):
-    """Evaluate the expr that starts at toks[i]: (value, index of the
-    token after it).  Each product and sum is formed as soon as its
-    right operand is read, so errors come in reading order."""
+def _eval(toks, i, env, const, line, depth=0):
+    """Evaluate the expr that starts at toks[i], inside depth levels of
+    parentheses: (value, index of the token after it).  Each product and
+    sum is formed as soon as its right operand is read, so errors come in
+    reading order."""
     total = add = None
     while True:
         prod = mul = None
@@ -112,7 +122,10 @@ def _eval(toks, i, env, const, line):
             elif kind == "int":
                 v = const(_int(text, line, col))
             elif kind == "(":
-                v, i = _eval(toks, i, env, const, line)
+                if depth == MAX_NESTING:
+                    raise ParseError("parentheses nested more than "
+                                     f"{MAX_NESTING} deep", line, col)
+                v, i = _eval(toks, i, env, const, line, depth + 1)
                 if toks[i][0] != ")":
                     raise ParseError("expected ')'", line, toks[i][2])
                 i += 1
@@ -361,24 +374,18 @@ def _json_sections(data):
         name, coeffs = step
         sections.append(("tower", None, {str(name): [val(coeffs, "tower")]},
                          None))
-    for name, entry in section("modules", {}).items():
-        body = {k: [val(v, f"module {name}.{k}")]
-                for k, v in obj(entry, f"module {name}").items()}
-        sections.append(("module", name, body, None))
-    for name, entry in section("subgroups", {}).items():
-        body = {}
-        for k, v in obj(entry, f"subgroup {name}").items():
-            if k == "rows":
-                if not isinstance(v, list):
-                    raise ParseError(f"subgroup {name} rows must be a list")
-                body["row"] = [val(r, f"subgroup {name} row") for r in v]
-            else:
-                body[k] = [val(v, f"subgroup {name}.{k}")]
-        sections.append(("subgroup", name, body, None))
-    for name, entry in section("points", {}).items():
-        body = {k: [val(v, f"point {name}.{k}")]
-                for k, v in obj(entry, f"point {name}").items()}
-        sections.append(("point", name, body, None))
+    for kind in ("module", "subgroup", "point"):
+        for name, entry in section(kind + "s", {}).items():
+            body = {}
+            for k, v in obj(entry, f"{kind} {name}").items():
+                if kind == "subgroup" and k == "rows":
+                    if not isinstance(v, list):
+                        raise ParseError(f"subgroup {name} rows must be a "
+                                         "list")
+                    body["row"] = [val(r, f"subgroup {name} row") for r in v]
+                else:
+                    body[k] = [val(v, f"{kind} {name}.{k}")]
+            sections.append((kind, name, body, None))
     for name, expr in section("polys", {}).items():
         sections.append(("poly", name, {"expr": [val(expr, "poly")]}, None))
     known = {"field", "tower", "modules", "subgroups", "points", "polys"}
@@ -404,6 +411,21 @@ def _check_keys(body, allowed, kind, line):
         if k not in allowed:
             raise ParseError(f"unknown key {k!r} in [{kind}]",
                              body[k][0].line, 1)
+
+
+def _named(sections, kind, keys=None):
+    """(name, body, line) of each [kind NAME] section in file order,
+    refusing a name given twice and, when keys is given, any other key."""
+    seen = set()
+    for k, name, body, line in sections:
+        if k != kind:
+            continue
+        if name in seen:
+            raise ParseError(f"duplicate {kind} {name!r}", line, 1)
+        seen.add(name)
+        if keys is not None:
+            _check_keys(body, keys, kind, line)
+        yield name, body, line
 
 
 def build_manifest(sections) -> Manifest:
@@ -451,11 +473,7 @@ def build_manifest(sections) -> Manifest:
 
     scope = _Scope(tower)
     modules = {}
-    for kind, name, body, line in sections:
-        if kind != "module":
-            continue
-        if name in modules:
-            raise ParseError(f"duplicate module {name!r}", line, 1)
+    for name, body, line in _named(sections, "module"):
         m_val = _single(body, "m", "module", line)
         m = _as_int(m_val, "m")
         if m < 1:
@@ -498,12 +516,7 @@ def build_manifest(sections) -> Manifest:
             raise ParseError(str(exc), line, 1) from None
 
     subgroups = {}
-    for kind, name, body, line in sections:
-        if kind != "subgroup":
-            continue
-        if name in subgroups:
-            raise ParseError(f"duplicate subgroup {name!r}", line, 1)
-        _check_keys(body, {"module", "row"}, "subgroup", line)
+    for name, body, line in _named(sections, "subgroup", {"module", "row"}):
         mod_val = _single(body, "module", "subgroup", line)
         if mod_val.text not in modules:
             raise ParseError(f"unknown module {mod_val.text!r}",
@@ -524,12 +537,7 @@ def build_manifest(sections) -> Manifest:
 
     points = {}
     point_modules = {}
-    for kind, name, body, line in sections:
-        if kind != "point":
-            continue
-        if name in points:
-            raise ParseError(f"duplicate point {name!r}", line, 1)
-        _check_keys(body, {"module", "coords"}, "point", line)
+    for name, body, line in _named(sections, "point", {"module", "coords"}):
         coords = scope.values(_split_commas(_single(body, "coords", "point",
                                                     line)))
         mod_val = _single(body, "module", "point", line, required=False)
@@ -546,12 +554,7 @@ def build_manifest(sections) -> Manifest:
         point_modules[name] = mod_name
 
     polys = {}
-    for kind, name, body, line in sections:
-        if kind != "poly":
-            continue
-        if name in polys:
-            raise ParseError(f"duplicate poly {name!r}", line, 1)
-        _check_keys(body, {"expr"}, "poly", line)
+    for name, body, line in _named(sections, "poly", {"expr"}):
         val = _single(body, "expr", "poly", line)
         polys[name] = poly_from_text(field, val.text, val.line, val.col)
     return Manifest(field, tower, modules, subgroups, points, point_modules,
@@ -652,6 +655,8 @@ def parse_manifest(text: str) -> Manifest:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno,
                              exc.colno) from None
+        except RecursionError:
+            raise ParseError("bad JSON: nested too deeply") from None
         return build_manifest(_json_sections(data))
     return build_manifest(_ini_sections(text))
 

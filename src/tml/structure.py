@@ -111,10 +111,14 @@ class OrePattern:
     def __hash__(self):
         return hash((self.rows, self.cols, self.slices))
 
+    def grids(self):
+        """Each slice as text: X marks a spot that can be nonzero, and
+        rows are split by /."""
+        return ["/".join("".join("X" if b else "." for b in row) for row in s)
+                for s in self.slices]
+
     def __repr__(self):
-        grids = ["".join("".join("X" if b else "." for b in row) + "/"
-                         for row in s).rstrip("/") for s in self.slices]
-        return "OrePattern(" + "; ".join(grids) + ")"
+        return "OrePattern(" + "; ".join(self.grids()) + ")"
 
 
 @dataclass(frozen=True)

@@ -167,9 +167,7 @@ class TModule:
 
 def carlitz(tower) -> TModule:
     """The one-dimensional module with T acting as T + tau."""
-    one = Mat(((tower.one(),),))
-    t = Mat(((tower.T(),),))
-    return TModule(tower, (t, one))
+    return drinfeld(tower, (tower.one(),))
 
 
 def drinfeld(tower, elems) -> TModule:
@@ -177,9 +175,7 @@ def drinfeld(tower, elems) -> TModule:
     elems = tuple(elems)
     if not elems:
         raise ValueError("need at least one twist coefficient")
-    mats = [Mat(((tower.T(),),))]
-    mats.extend(Mat(((e,),)) for e in elems)
-    return TModule(tower, mats)
+    return TModule(tower, OrePoly.scalar(tower, (tower.T(),) + elems).coeffs)
 
 
 def carlitz_tensor(tower, n: int) -> TModule:
@@ -211,19 +207,14 @@ def product(modules) -> TModule:
     for i in range(deg + 1):
         rows = []
         off = 0
-        blocks = []
         for mod in modules:
-            c = mod.phi_t.coeff(i) if i <= mod.degree else None
-            blocks.append((c, mod.dimension))
-        for c, dim in blocks:
-            for r in range(dim):
+            dim = mod.dimension
+            for entries in mod.phi_t.coeff(i).data:
                 row = [z] * total
-                if c is not None:
-                    for j in range(dim):
-                        row[off + j] = c[r, j]
-                rows.append(tuple(row))
+                row[off:off + dim] = entries
+                rows.append(row)
             off += dim
-        mats.append(Mat(tuple(rows)))
+        mats.append(Mat(rows))
     return TModule(tower, mats)
 
 

@@ -299,6 +299,35 @@ def test_power_beyond_degree_cap_is_parse_error(capsys):
                    "the cap of 10000 (col 2)\n")
 
 
+def test_nesting_beyond_the_cap_is_parse_error(capsys):
+    # refused at the 257th '(' however deep the caller's stack is
+    deep = "(" * 1200 + "T" + ")" * 1200
+    code, out, err = _run(capsys, "act", "--module", "Cten2", "--poly", deep)
+    assert (code, out) == (2, "")
+    assert err == ("parse error: parentheses nested more than 256 deep "
+                   "(col 257)\n")
+    at_cap = "(" * 256 + "T" + ")" * 256
+    assert _run(capsys, "act", "--module", "Cten2", "--poly", at_cap) == _run(
+        capsys, "act", "--module", "Cten2", "--poly", "T")
+
+
+def test_deeply_nested_json_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                    encoding="utf-8")
+    code, out, err = _run(capsys, "validate", "--manifest", str(path),
+                          "--module", "C")
+    assert (code, out, err) == (2, "", "parse error: bad JSON: nested too "
+                                       "deeply\n")
+    path.write_text(json.dumps({
+        "field": {"p": 2}, "modules": {"C": {
+            "m": "1", "a0": "(" * 256 + "T" + ")" * 256, "a1": "1"}}}),
+        encoding="utf-8")
+    code, out, err = _run(capsys, "validate", "--manifest", str(path),
+                          "--module", "C")
+    assert (code, err) == (0, "")
+
+
 def _readme_examples():
     """(argv, stdout) for every indented '$ tml ...' block in README.md:
     the command line, then its output up to the next unindented line."""

@@ -266,3 +266,121 @@ def test_power_forms_only_the_needed_products():
         products.clear()
         _power(Counted(3), n, Counted(1))
         assert len(products) == want
+
+
+# -- the term printer against a reference copy of its three earlier forms ----
+
+def ref_fmt(f, a):
+    if f.e == 1:
+        return str(a)
+    digits = [a // f.p ** i % f.p for i in range(f.e)]
+    terms = []
+    for i in reversed(range(f.e)):
+        c = digits[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            var = f.gen_name if i == 1 else f"{f.gen_name}^{i}"
+            terms.append(var if c == 1 else f"{c}*{var}")
+    return "+".join(terms) if terms else "0"
+
+
+def ref_poly_text(poly):
+    coeffs = poly.coeffs
+    if not coeffs:
+        return "0"
+    terms = []
+    for i in reversed(range(len(coeffs))):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        cs = ref_fmt(poly.field, c)
+        if i == 0:
+            terms.append(cs)
+            continue
+        var = "T" if i == 1 else f"T^{i}"
+        if c == 1:
+            terms.append(var)
+        elif "+" in cs:
+            terms.append(f"({cs})*{var}")
+        else:
+            terms.append(f"{cs}*{var}")
+    return "+".join(terms)
+
+
+def ref_tower_text(x):
+    t = x.tower
+    if t.parent is None:
+        rf = x.data
+        if rf.is_poly():
+            return ref_poly_text(rf.num)
+        return f"({ref_poly_text(rf.num)})/({ref_poly_text(rf.den)})"
+    if x.is_zero():
+        return "0"
+    terms = []
+    parts = x.parts()
+    for i in reversed(range(len(parts))):
+        c = parts[i]
+        if c.is_zero():
+            continue
+        cs = ref_tower_text(c)
+        if i == 0:
+            terms.append(cs)
+            continue
+        var = t.name if i == 1 else f"{t.name}^{i}"
+        if cs == "1":
+            terms.append(var)
+        elif "+" in cs:
+            terms.append(f"({cs})*{var}")
+        else:
+            terms.append(f"{cs}*{var}")
+    return "+".join(terms)
+
+
+def _root_tower(p, e, names, depth):
+    """F_q(T) with names[0]**2 = T on top at depth 1, and names[1]**2 =
+    names[0] on top of that at depth 2."""
+    tower = FieldTower(FiniteField(p, e))
+    for name in names[:depth]:
+        g = tower.gen()
+        tower = tower.extend(name, (tower.zero() - g, tower.zero(),
+                                    tower.one()))
+    return tower
+
+
+PRINTED_TOWERS = {f"F{p ** e}" + "".join(f"({n})" for n in names[:d]):
+                  (p, e, names, d)
+                  for p, e, names in ((3, 1, ()), (5, 1, ()), (3, 2, ()),
+                                      (2, 4, ()), (7, 3, ()),
+                                      (2, 2, ("U", "R")), (5, 1, ("V", "W")))
+                  for d in range(len(names) + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED_TOWERS))
+def test_printer_matches_reference_and_reads_back(name):
+    from tml.manifest import _Scope, eval_expr
+    tower = _root_tower(*PRINTED_TOWERS[name])
+    fq = tower.fq
+    assert [fq.fmt(a) for a in range(fq.q)] == [ref_fmt(fq, a)
+                                                 for a in range(fq.q)]
+    rng = random.Random(f"printer-{name}")
+    scope = _Scope(tower)
+    shapes = set()
+    for _ in range(25):
+        coords = []
+        for _ in range(tower.total_degree()):
+            num = Poly(fq, [rng.randrange(fq.q) if rng.random() < 0.6 else 0
+                            for _ in range(rng.randrange(4))])
+            den = Poly(fq, [rng.randrange(fq.q)
+                            for _ in range(rng.choice((0, 0, 1, 2)))] + [1])
+            coords.append(RatFunc(num, den))
+        x = tower.unflatten(coords)
+        text = x.to_expr()
+        assert text == ref_tower_text(x)
+        if tower.parent is None:
+            assert x.data.num.to_expr() == ref_poly_text(x.data.num)
+        assert eval_expr(text, scope.env, scope.const) == x, text
+        shapes.add("/" in text)
+    assert shapes == {True, False}

@@ -75,6 +75,17 @@ def test_caret_error_reports_column(f2):
         poly_from_text(f2, "T^T")
 
 
+def test_literal_that_is_not_decimal_is_named(f2):
+    # str.isdigit admits '²', which int() refuses
+    for text, col in (("T^²", 3), ("²", 1)):
+        with pytest.raises(ParseError) as info:
+            poly_from_text(f2, text)
+        assert str(info.value) == ("integer literal '²' is not decimal "
+                                   f"(col {col})")
+    with pytest.raises(ParseError, match="of 5000 digits is too long"):
+        poly_from_text(f2, "1" * 5000)
+
+
 def test_unknown_name_rejected(f2):
     with pytest.raises(ParseError):
         poly_from_text(f2, "T + X")

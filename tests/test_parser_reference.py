@@ -84,6 +84,11 @@ def ref_eval_expr(text, env, const, line=None, col_offset=0):
         try:
             return int(t.text)
         except ValueError:
+            # the one outcome changed since: a literal with a digit that
+            # is not decimal, such as '²', is now named as not decimal
+            if not t.text.isdecimal():
+                raise ParseError(f"integer literal {t.text!r} is not "
+                                 "decimal", line, t.col) from None
             raise ParseError(f"integer literal of {len(t.text)} digits is "
                              "too long", line, t.col) from None
 
