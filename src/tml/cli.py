@@ -23,12 +23,13 @@ import os
 import sys
 from importlib import resources
 
-from .corpus import run_corpus, scalar_text
+from .corpus import run_corpus
 from .errors import ParseError, TmlError
 from .exponential import (RestrictionVerdict, exp_restriction_check,
                           exp_series, verify_functional_equation)
-from .manifest import Manifest, load_manifest, parse_manifest, poly_from_text
-from .ore import OrePoly
+from .manifest import (Manifest, _module_name, load_manifest, parse_manifest,
+                       poly_from_text)
+from .ore import OrePoly, scalar_text
 from .structure import (AbelianCertificate, InconclusiveScan,
                         NonabelianCertificate, abelian_scan)
 from .subgroups import (NoWitnessUpTo, ProvablyUnstable, Stable,
@@ -310,6 +311,10 @@ def cmd_exp(args):
     code = 0 if holds else 1
     if args.subgroup is not None:
         subgroup = _pick(manifest.subgroups, args.subgroup, "subgroup")
+        if subgroup.module != module:
+            owner = _module_name(manifest, subgroup.module)
+            raise UsageError(f"subgroup {args.subgroup!r} is declared on "
+                             f"module {owner!r}")
         report = exp_restriction_check(series, subgroup)
         if report.verdict is RestrictionVerdict.HOLDS:
             word, sub_code = _good("holds"), 0

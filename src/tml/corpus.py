@@ -23,7 +23,7 @@ from .exponential import (RestrictionVerdict, exp_restriction_check,
 from .fields import (FieldTower, FiniteField, Poly, RatFunc,
                      ratfunc_substitute)
 from .linalg import Mat
-from .ore import OrePoly
+from .ore import OrePoly, scalar_text
 from .structure import (AbelianCertificate, NonabelianCertificate,
                         OrePattern, abelian_scan, degree_sequence,
                         rank_report)
@@ -78,20 +78,6 @@ def random_element(rng: random.Random, tower: FieldTower, degree: int = 2):
         g = g * tower.gen()
         acc = acc + g * tower.embed(random_element(rng, tower.parent, degree))
     return acc
-
-
-def scalar_text(op: OrePoly) -> str:
-    parts = []
-    for i, e in enumerate(op.scalar_elems()):
-        if e.is_zero():
-            continue
-        es = e.to_expr()
-        if i == 0:
-            parts.append(es)
-            continue
-        t = "tau" if i == 1 else f"tau^{i}"
-        parts.append(t if es == "1" else f"({es})*{t}")
-    return " + ".join(parts) if parts else "0"
 
 
 # -- builders ---------------------------------------------------------------

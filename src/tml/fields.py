@@ -736,16 +736,19 @@ class FieldTower:
 
     Above the base, an element is the tuple of its coordinates over the
     base field k = F_q(T) in the monomial basis e_(j*m + i) = gen**j * f_i,
-    where f_0 .. f_(m-1) is the parent's basis.  The tower caches two
-    sparse tables of such coordinates: the products e_i * e_j, built once
-    from the parent's table and the defining polynomial, and the images
-    frob(e_i) of the q-semilinear Frobenius, frob(sum x_i e_i) =
-    sum x_i**q * frob(e_i).  Elements are immutable, so zero() and one()
-    are built once per tower and shared.
+    where f_0 .. f_(m-1) is the parent's basis.  An extension level builds
+    its tables with itself: mul_table[i][j] lists (k, c) for the nonzero
+    coordinates c of e_i * e_j, from the parent's table and the defining
+    polynomial; frob_table[i] lists (j, c) for those of frob(e_i), the
+    images of the q-semilinear Frobenius frob(sum x_i e_i) =
+    sum x_i**q * frob(e_i); c is None where the coordinate is 1.
+    basis_pth_powers[i] is the coordinate vector of e_i**p.  The base
+    level needs no table.  Towers and their elements are immutable, so
+    zero() and one() are built once per tower and shared.
     """
 
     __slots__ = ("fq", "parent", "name", "modulus", "depth", "_dim", "_zero",
-                 "_one", "_mul_table", "_frob_table", "_basis_pow_cache",
+                 "_one", "mul_table", "frob_table", "basis_pth_powers",
                  "_key")
 
     def __init__(self, fq: FiniteField, _parent=None, _name=None, _modulus=None):
@@ -754,9 +757,6 @@ class FieldTower:
         self.name = _name
         self.modulus = _modulus
         self.depth = 0 if _parent is None else _parent.depth + 1
-        self._mul_table = None
-        self._frob_table = None
-        self._basis_pow_cache = None
         zero, one = RatFunc.zero(fq), RatFunc.one(fq)
         if _parent is None:
             self._dim = 1
@@ -769,6 +769,11 @@ class FieldTower:
             pad = (zero,) * (self._dim - 1)
             self._zero = TowerElement(self, (zero,) + pad)
             self._one = TowerElement(self, (one,) + pad)
+            self.mul_table = self._build_mul_table()
+            qth = self._basis_powers(fq.q)
+            self.frob_table = [_sparse(v, one) for v in qth]
+            self.basis_pth_powers = (qth if fq.e == 1
+                                     else self._basis_powers(fq.p))
 
     def extend(self, name: str, modulus_coeffs) -> "FieldTower":
         """A new tower with one more step.
@@ -870,15 +875,6 @@ class FieldTower:
         vec = self.flatten(self._zero)
         return self.unflatten(vec[:i] + (RatFunc.one(self.fq),) + vec[i + 1:])
 
-    def mul_table(self):
-        """Entry [i][j] lists (k, c) for the nonzero coordinates c of
-        e_i * e_j; c is None where the coordinate is 1.  Built once from
-        the parent's table and the defining polynomial, cached."""
-        if self._mul_table is None:
-            self._mul_table = ([[[(0, None)]]] if self.parent is None
-                               else self._build_mul_table())
-        return self._mul_table
-
     def _build_mul_table(self):
         up, d, m = self.parent, self.step_degree(), self.parent._dim
         # gen**s for s <= 2d - 2 as d coefficients over the parent: shift
@@ -896,21 +892,6 @@ class FieldTower:
         return [[_sparse([x for c in pw[a // m + b // m]
                           for x in up.flatten(prods[a % m][b % m] * c)], one)
                  for b in range(self._dim)] for a in range(self._dim)]
-
-    def frob_table(self):
-        """Row i lists (j, c) for the nonzero coordinates c of frob(e_i);
-        c is None where the coordinate is 1.  Built once, cached."""
-        if self._frob_table is None:
-            one = RatFunc.one(self.fq)
-            self._frob_table = [_sparse(v, one)
-                                for v in self._basis_powers(self.fq.q)]
-        return self._frob_table
-
-    def basis_pth_powers(self):
-        """Coordinates of the p-th powers of the monomial basis, cached."""
-        if self._basis_pow_cache is None:
-            self._basis_pow_cache = self._basis_powers(self.fq.p)
-        return self._basis_pow_cache
 
     def _basis_powers(self, k):
         return [self.flatten(self._unit(i) ** k) for i in range(self._dim)]
@@ -992,7 +973,7 @@ class TowerElement:
             return TowerElement(t, self.data * other.data)
         zero = t._zero.data[0]
         out = list(t._zero.data)
-        for x, row in zip(self.data, t.mul_table()):
+        for x, row in zip(self.data, t.mul_table):
             if x.num.rep:
                 for y, cell in zip(other.data, row):
                     if y.num.rep:
@@ -1014,7 +995,7 @@ class TowerElement:
         # cols[j] gathers the coordinates of self * e_j
         n, zero = t._dim, t._zero.data[0]
         cols = [list(t._zero.data) for _ in range(n)]
-        for x, row in zip(self.data, t.mul_table()):
+        for x, row in zip(self.data, t.mul_table):
             if x.num.rep:
                 for col, cell in zip(cols, row):
                     _add_into(col, x, cell, zero)
@@ -1037,7 +1018,7 @@ class TowerElement:
         t = self.tower
         if t.parent is None:
             return TowerElement(t, self.data.frob(i))
-        table, zero = t.frob_table(), t._zero.data[0]
+        table, zero = t.frob_table, t._zero.data[0]
         vec = self.data
         for _ in range(i):
             out = list(t._zero.data)
@@ -1091,7 +1072,7 @@ def pth_root(x: TowerElement):
         return None if r is None else TowerElement(tower, r)
     p = tower.fq.p
     base = tower.base()
-    gvecs = tower.basis_pth_powers()
+    gvecs = tower.basis_pth_powers
     xs = tower.flatten(x)
     dim = len(gvecs)
     rows = []

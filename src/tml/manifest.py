@@ -465,6 +465,9 @@ def build_manifest(sections) -> Manifest:
         if kind == "tower":
             for name, vals in body.items():
                 for val in vals:
+                    if not _is_name(name):
+                        raise ParseError("tower generator must be a name, "
+                                         f"got {name!r}", val.line, val.col)
                     coeffs = _Scope(tower).values(_split_commas(val))
                     try:
                         tower = tower.extend(name, coeffs)

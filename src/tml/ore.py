@@ -181,16 +181,23 @@ class OrePoly:
 
     def __repr__(self):
         if self.rows == 1 and self.cols == 1:
-            parts = []
-            for i, m in enumerate(self.coeffs):
-                e = m[0, 0].to_expr()
-                if i == 0:
-                    parts.append(e)
-                else:
-                    t = "t" + ("" if i == 1 else f"^{i}")
-                    parts.append(f"({e})*{t}")
-            return "OrePoly(" + (" + ".join(parts) if parts else "0") + ")"
+            return f"OrePoly({scalar_text(self)})"
         return f"OrePoly({self.rows}x{self.cols}, deg {self.degree})"
+
+
+def scalar_text(op: OrePoly) -> str:
+    """The nonzero tau-terms of a 1x1 twisted polynomial, lowest first."""
+    parts = []
+    for i, e in enumerate(op.scalar_elems()):
+        if e.is_zero():
+            continue
+        es = e.to_expr()
+        if i == 0:
+            parts.append(es)
+            continue
+        t = "tau" if i == 1 else f"tau^{i}"
+        parts.append(t if es == "1" else f"({es})*{t}")
+    return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)

@@ -164,9 +164,10 @@ def invertible_leading_index(module: TModule, max_index: int):
     if max_index < 1:
         raise BadParameter("largest action power must be at least 1, "
                            f"got {max_index}")
-    rows = []
+    rows, act = [], module.phi_t
     for i in range(1, max_index + 1):
-        act = module.t_power(i)
+        if i > 1:
+            act = act * module.phi_t
         d = act.degree
         inv = d >= 1 and matrix_rank(act.leading()) == module.dimension
         rows.append(ScanRow(i, d, inv))
@@ -220,4 +221,9 @@ def rank_report(module: TModule, max_index: int = 8):
 
 def degree_sequence(module: TModule, max_j: int):
     """tau-degrees of phi(T^j) for j = 1..max_j."""
-    return tuple(module.t_power(j).degree for j in range(1, max_j + 1))
+    degrees, act = [], module.phi_t
+    for j in range(1, max_j + 1):
+        if j > 1:
+            act = act * module.phi_t
+        degrees.append(act.degree)
+    return tuple(degrees)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
                      NotNilpotent, ShapeMismatch)
-from .fields import Poly
+from .fields import Poly, _power
 from .linalg import Mat
 from .ore import OrePoly
 
@@ -42,8 +42,7 @@ class TModule:
         self.tower = tower
         self.matrices = matrices
         self.dimension = m
-        self._powers = {}
-        self._nilp = -2  # unevaluated marker
+        self.phi_t = OrePoly(tower, m, m, matrices)
 
     @property
     def degree(self) -> int:
@@ -53,28 +52,19 @@ class TModule:
     def a0(self) -> Mat:
         return self.matrices[0]
 
-    @property
-    def phi_t(self) -> OrePoly:
-        return OrePoly(self.tower, self.dimension, self.dimension, self.matrices)
-
     def nilpotent_part(self) -> Mat:
         t_ident = Mat.scalar(self.tower, self.dimension, self.tower.T())
         return self.a0 - t_ident
 
     def nilpotency_order(self):
         """Least n with N**n = 0 for N = a_0 - T*I, or None if there is none."""
-        if self._nilp != -2:
-            return self._nilp
         n = self.nilpotent_part()
-        order = None
         power = Mat.identity(self.tower, self.dimension)
         for i in range(self.dimension + 1):
             if power.is_zero():
-                order = i
-                break
+                return i
             power = power @ n
-        self._nilp = order
-        return order
+        return None
 
     def require_nilpotent(self) -> int:
         """The nilpotency order; raises NotNilpotent when there is none."""
@@ -95,16 +85,11 @@ class TModule:
                               problems=tuple(problems))
 
     def t_power(self, j: int) -> OrePoly:
-        """The action of T**j, cached."""
+        """The action of T**j, by repeated squaring."""
         if j < 0:
             raise ValueError("negative power of T")
-        if j == 0:
-            return OrePoly.identity(self.tower, self.dimension)
-        got = self._powers.get(j)
-        if got is None:
-            got = self.t_power(j - 1) * self.phi_t if j > 1 else self.phi_t
-            self._powers[j] = got
-        return got
+        return _power(self.phi_t, j,
+                      OrePoly.identity(self.tower, self.dimension))
 
     def act(self, a: Poly) -> OrePoly:
         """The action of a base polynomial, by Horner composition."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParameter, CertificateError, FieldMismatch
+from .errors import BadParameter, CertificateError, FieldMismatch, ShapeMismatch
 from .fields import FieldTower, Poly, pth_root
 from .linalg import Mat
 from .ore import OrePoly
@@ -61,7 +61,7 @@ def act_on_point(module: TModule, a: Poly, point):
         raise FieldMismatch("polynomial over a different F_q")
     point = tuple(point)
     if len(point) != module.dimension:
-        raise ValueError("point has wrong number of coordinates")
+        raise ShapeMismatch("point has wrong number of coordinates")
     vt = point[0].tower
     zero = tuple(vt.zero() for _ in point)
     if a.is_zero():

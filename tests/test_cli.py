@@ -250,6 +250,51 @@ def test_invalid_module_is_refused_before_scans(capsys, tmp_path, command):
     assert err == "error: constant coefficient is not T*I plus nilpotent\n"
 
 
+TWO_MODULES = """\
+[field]
+p = 2
+
+[module C1]
+m = 1
+a0 = T
+a1 = 1
+
+[module C2]
+m = 2
+a0 = T, 0, 0, T
+a1 = 1, 0, 0, 1
+
+[subgroup S]
+module = C2
+row = [1], [0]
+
+[point P]
+coords = T, 1
+"""
+
+
+def test_torsion_poly_on_point_of_wrong_length(capsys, tmp_path):
+    path = tmp_path / "two.tml"
+    path.write_text(TWO_MODULES, encoding="utf-8")
+    code, out, err = _run(capsys, "torsion", "--manifest", str(path),
+                          "--point", "P", "--module", "C1", "--poly", "T")
+    assert code == 2
+    assert out == ""
+    assert err == "error: point has wrong number of coordinates\n"
+
+
+def test_exp_subgroup_of_another_module_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "two.tml"
+    path.write_text(TWO_MODULES, encoding="utf-8")
+    code, out, err = _run(capsys, "exp", "--manifest", str(path),
+                          "--module", "C1", "--order", "1",
+                          "--subgroup", "S")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("subgroup 'S' is declared on module 'C2'\n")
+    assert err.count("\n") == 1
+
+
 def test_field_beyond_the_size_caps_is_parse_error(capsys, tmp_path):
     path = tmp_path / "big.tml"
     path.write_text("[field]\np = 17\n\n[module C]\nm = 1\na0 = T\n",

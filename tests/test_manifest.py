@@ -289,6 +289,21 @@ def test_field_generator_must_be_a_name_other_than_t(gen):
         assert str(info.value) == message + " (line 5, col 7)"
 
 
+@pytest.mark.parametrize("name", ["1x", "g+1", "5"])
+def test_tower_generator_must_be_a_name(name):
+    # no expression could name such a generator
+    message = f"tower generator must be a name, got {name!r}"
+    text = f"[field]\np = 2\n\n[tower]\n{name} = 0 - T, 0, 1\n"
+    with pytest.raises(ParseError) as info:
+        parse_manifest(text)
+    assert str(info.value) == message + f" (line 5, col {len(name) + 4})"
+    step = int(name) if name.isdigit() else name
+    doc = {"field": {"p": 2}, "tower": [[step, "0 - T, 0, 1"]]}
+    with pytest.raises(ParseError) as info:
+        parse_manifest(json.dumps(doc))
+    assert str(info.value) == message + " (col 1)"
+
+
 @pytest.mark.parametrize("e", ["", "e = 1\n"])
 def test_prime_field_generator_rejected(e):
     # a prime field has no generator, so the name would never be bound

@@ -1,13 +1,20 @@
+import copy
 import random
+from importlib import resources
 
 import pytest
 
 from tml.errors import BadParameter, NotNilpotent, ShapeMismatch, TmlError
-from tml.fields import FieldTower, FiniteField, Poly
+from tml.exponential import exp_series
+from tml.fields import FieldTower, FiniteField, Poly, pth_root
 from tml.linalg import Mat
+from tml.manifest import parse_manifest
 from tml.ore import OrePoly
+from tml.structure import abelian_scan
+from tml.subgroups import minimal_j_scan
 from tml.tmodule import (TModule, carlitz, carlitz_tensor, diagonal_power,
                          drinfeld, product)
+from tml.torsion import torsion_order_search
 
 
 def _rand_poly(rng, field, max_deg=3):
@@ -148,3 +155,27 @@ def test_carlitz_tensor_rejects_power_zero(tower2):
         carlitz_tensor(tower2, 0)
     assert isinstance(info.value, TmlError)
     assert isinstance(info.value, ValueError)
+
+
+def test_tower_and_module_do_not_change_when_used():
+    # every table and phi_T is built with its object; using them must
+    # leave each slot of the tower and each attribute of the module as
+    # it was, so repeated calls redo the same work
+    manifest = parse_manifest((resources.files("tml") / "manifests" /
+                               "root_twist.tml").read_text(encoding="utf-8"))
+    tower, mod = manifest.tower, manifest.modules["RootPair"]
+
+    def snapshot():
+        return ({s: copy.deepcopy(getattr(tower, s))
+                 for s in FieldTower.__slots__},
+                copy.deepcopy(vars(mod)))
+
+    before = snapshot()
+    manifest.subgroups["Squares"].stability(Poly(tower.fq, (0, 0, 1)))
+    minimal_j_scan(manifest.subgroups["Squares"], 2)
+    abelian_scan(mod, 3)
+    exp_series(mod, 2)
+    torsion_order_search(mod, manifest.points["Seed"], 2)
+    assert pth_root(tower.T()) == tower.gen()
+    assert mod.t_power(3) == mod.phi_t * mod.phi_t * mod.phi_t
+    assert snapshot() == before
