@@ -129,7 +129,7 @@ def exp_restriction_check(exp: ExpSeries,
     restricts exactly when every constrained row of every E_i vanishes on
     the free columns; other presentations are reported UNCHECKED."""
     if subgroup.module != exp.module:
-        raise ValueError("subgroup belongs to a different module")
+        raise BadParameter("subgroup belongs to a different module")
     pinned = _constrained_columns(subgroup)
     if pinned is None:
         return RestrictionReport(RestrictionVerdict.UNCHECKED, exp.order,

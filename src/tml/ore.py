@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
-                     NonInvertibleLeading, ShapeMismatch)
-from .linalg import (Mat, _filled, _mul_into, _sparse_rows,
+                     NonInvertibleLeading, ShapeMismatch, ZeroDivisor)
+from .linalg import (Mat, _filled, _mul_into, _rref, _sparse_rows,
                      gauss_inverse, gauss_solve)
 
 
@@ -301,4 +301,59 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     q = OrePoly(tower, s, s, mats)
     if q * p != g:
         raise CertificateError("witness failed independent re-expansion")
+    return q
+
+
+def graph_block(p: OrePoly):
+    """The graph block of p as (cols, inv), or None when p is no graph.
+
+    p (s x m) is a graph presentation when its tau-free columns, those
+    zero in every coefficient of tau-degree 1 or more, have a constant
+    part of rank s.  cols are the s pivot columns of that part, C the
+    s x s matrix on them, and inv is C**-1, or None when C is the
+    identity.  A pivot that is a zero divisor of a quotient-ring tower
+    leaves p to the linear search.
+    """
+    tower, s = p.tower, p.rows
+    free = [c for c in range(p.cols) if all(
+        m[r, c].is_zero() for m in p.coeffs[1:] for r in range(s))]
+    ident = Mat.identity(tower, s)
+    # [C | I] reduces to [R | C_piv**-1] when C has full row rank
+    aug = [[p.coeffs[0][r, c] for c in free] + list(ident.data[r])
+           for r in range(s)]
+    try:
+        pivots = _rref(aug, len(free))
+    except ZeroDivisor:
+        return None
+    if len(pivots) < s:
+        return None
+    inv = Mat(tuple(tuple(row[len(free):]) for row in aug))
+    return [free[k] for k in pivots], (None if inv == ident else inv)
+
+
+def graph_witness(p: OrePoly, block, g: OrePoly, bound=None):
+    """The Q with Q*p == g and deg Q <= bound, or None, by one right
+    division by the graph presentation p (block from graph_block).
+
+    On the graph columns Q*p is sum Q_i C^(q^i) tau^i, so Q_i =
+    g_i[:, cols] (C**-1)^(q^i) is the only candidate at any degree; it
+    is returned only when an independent composition reproduces g.
+    """
+    p._check(g)
+    if p.cols != g.cols or p.rows != g.rows:
+        raise ShapeMismatch("witness target shape mismatch")
+    if bound is None:
+        bound = max(g.degree, 0)
+    cols, inv = block
+    mats = []
+    for i, gi in enumerate(g.coeffs):
+        qi = Mat(tuple(tuple(row[c] for c in cols) for row in gi.data))
+        if inv is not None:
+            if i:
+                inv = inv.frob(1)
+            qi = qi @ inv
+        mats.append(qi)
+    q = OrePoly(p.tower, p.rows, p.rows, mats)
+    if q.degree > bound or q * p != g:
+        return None
     return q

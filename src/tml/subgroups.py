@@ -9,6 +9,11 @@ axis lying inside the kernel that the action moves out of it, and a
 tangent vector at the origin that the differential moves out of the
 tangent space.  When neither a witness nor an obstruction is found the
 outcome is an honest "no witness up to the searched degree".
+
+A graph presentation, one with an invertible constant block on columns
+free of tau-terms, has at most one witness, read off P * phi(a) by one
+right division; there the default bound leaves no witness unsearched.
+Other presentations search by an exact linear system.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from .errors import BadParameter, FieldMismatch, ShapeMismatch
 from .fields import Poly
 from .linalg import Mat, kernel_basis
-from .ore import OrePoly, left_multiple_witness
+from .ore import OrePoly, graph_block, graph_witness, left_multiple_witness
 from .tmodule import TModule
 
 
@@ -67,6 +72,9 @@ class KernelSubgroup:
             raise ValueError("zero presentation; use zero rows for the full module")
         self.module = module
         self.presentation = presentation
+        # (columns, inverse) of the invertible constant block of a graph
+        # presentation, or None; see ore.graph_block
+        self.graph = graph_block(presentation) if presentation.rows else None
 
     @classmethod
     def full(cls, module: TModule) -> "KernelSubgroup":
@@ -134,7 +142,8 @@ class KernelSubgroup:
 
         Returns Stable with a re-verified witness, ProvablyUnstable with
         one of the sound obstructions, or NoWitnessUpTo after an
-        inconclusive bounded witness search.
+        inconclusive bounded witness search (one right division for a
+        graph presentation).
         """
         if witness_bound is not None and witness_bound < 0:
             raise BadParameter("witness degree bound must be nonnegative, "
@@ -152,7 +161,10 @@ class KernelSubgroup:
             # nonzero column can never stay inside the kernel
             if _col_is_zero(p, c) and not _col_is_zero(g, c):
                 return ProvablyUnstable("escaping-axis", column=c)
-        q = left_multiple_witness(p, g, witness_bound)
+        if self.graph is not None:
+            q = graph_witness(p, self.graph, g, witness_bound)
+        else:
+            q = left_multiple_witness(p, g, witness_bound)
         if q is None:
             used = witness_bound if witness_bound is not None else max(g.degree, 0)
             return NoWitnessUpTo(used)

@@ -4,6 +4,7 @@ from tml.corpus import axis_subgroup, graph_modules, tensor_square
 from tml.exponential import (ExpSeries, RestrictionVerdict,
                              exp_restriction_check, exp_series,
                              verify_functional_equation)
+from tml.errors import BadParameter, TmlError
 from tml.fields import FieldTower, FiniteField, Poly
 from tml.linalg import Mat
 from tml.subgroups import KernelSubgroup
@@ -87,6 +88,16 @@ def test_restriction_holds_on_stable_axis(tower2):
     report = exp_restriction_check(series, axis_subgroup(module))
     assert report.verdict is RestrictionVerdict.HOLDS
     assert report.order == 5
+
+
+def test_restriction_of_another_modules_subgroup_is_a_tml_error(tower2):
+    series = exp_series(tensor_square(tower2), 2)
+    other = axis_subgroup(tensor_square(tower2, corner=(0, 1)))
+    with pytest.raises(BadParameter, match="different module") as info:
+        exp_restriction_check(series, other)
+    # still a ValueError for callers that caught the old exception
+    assert isinstance(info.value, TmlError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_restriction_fails_on_escaping_axis(tower2):

@@ -4,7 +4,7 @@ Each case runs tml.cli.main in-process and compares its stdout and exit
 code with tests/golden/<case>.out and the "exit" entry of
 tests/golden/exits.json.  The cases cover the two packaged manifests and
 the small manifests in tests/golden/manifests over F_3, F_9, F_4 with
-U^2 = T, F_5 with V^2 = T and F_343.  After a deliberate output change,
+U^2 = T, F_5 with V^2 = T and F_343, and graph subgroups over F_3.  After a deliberate output change,
 rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -92,6 +92,16 @@ _CROSS = {
         "exp": ["exp", "--module", "C1", "--order", "1"],
         "torsion": ["torsion", "--point", "P", "--bound", "2"],
     },
+}
+
+# graph subgroups over F_3, decided by one right division: C = 2, C = T
+# and the 2x2 block [[T, 1], [1, 2]], beside a twisted column or alone
+_GRAPHS = ("Two", "Tee", "Block", "BlockPair")
+_CROSS["f3g"] = {
+    **{f"stability-{name.lower()}-{poly}": _stability(name, poly)
+       for name in _GRAPHS for poly in ("t", "t2", "t3")},
+    **{f"minimal-j-{name.lower()}": ["minimal-j", "--subgroup", name]
+       for name in _GRAPHS},
 }
 
 

@@ -6,10 +6,12 @@ from tml.corpus import (axis_subgroup, base_field_tower, graph_modules,
                         tensor_square)
 from tml.fields import Poly
 from tml.linalg import Mat, gauss_solve, kernel_basis
-from tml.ore import OrePoly
+from tml import subgroups
+from tml.ore import OrePoly, graph_witness, left_multiple_witness
 from tml.subgroups import (KernelSubgroup, NoWitnessUpTo, ProvablyUnstable,
                            Stable, minimal_j_scan)
-from tml.tmodule import TModule, carlitz, carlitz_tensor
+from tml.tmodule import TModule, carlitz, carlitz_tensor, product
+from tml.torsion import counterexample_module, curve_of_squares, sqrt_tower
 
 
 def _t_monomial(fq, j):
@@ -257,3 +259,154 @@ def test_pullbacks_and_verdicts_match_the_full_action(shallow_tower,
             assert module.differential(a) == da
             assert module.differential(a, p.coeff(0)) == p.coeff(0) @ da
             assert sub.stability(a) == _ref_stability(sub, a)
+
+
+# -- graph presentations: one right division against the witness system --
+
+def _graph_block_matrix(rng, tower, kind):
+    """The constant block C of a graph presentation: the identity, a
+    constant of F_q other than 1 (the 2x2 [[1, 1], [0, 1]] over F_2), a
+    non-constant 1x1 block, or a random invertible 2x2 block."""
+    fq, t = tower.fq, tower.T()
+    if kind == "one":
+        return Mat.identity(tower, 1)
+    if kind == "const":
+        if fq.q == 2:
+            o, z = tower.one(), tower.zero()
+            return Mat(((o, o), (z, o)))
+        return Mat(((tower.const(rng.randrange(2, fq.q)),),))
+    if kind == "nonconst":
+        picks = [t, t + tower.one()]
+        if tower.parent is not None:
+            picks.append(tower.gen())
+        return Mat(((rng.choice(picks),),))
+    while True:
+        c = Mat(tuple(tuple(_small_entry(rng, tower) for _ in range(2))
+                      for _ in range(2)))
+        if not (c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]).is_zero():
+            return c
+
+
+def _graph_subgroups(rng, tower, kind):
+    """Graph presentations C * (I | B) with C from _graph_block_matrix,
+    columns shuffled.  On a power of the Carlitz module, with B's entries
+    Carlitz actions of F_q[T], the subgroup is stable; on a module like
+    _random_subgroup's, with B random of tau-degree at most 2, it mostly
+    is not."""
+    fq = tower.fq
+    c = _graph_block_matrix(rng, tower, kind)
+    s = c.rows
+    m = s + rng.choice((1, 2))
+    order = list(range(m))
+    rng.shuffle(order)
+    carlitz_power = TModule(tower, (Mat.scalar(tower, m, tower.T()),
+                                    Mat.identity(tower, m)))
+    one_dim = carlitz(tower)
+    stable_b = [[one_dim.act(Poly(fq, [rng.randrange(fq.q)
+                                       for _ in range(2)]))
+                 for _ in range(m - s)] for _ in range(s)]
+    t = tower.T()
+    a0 = Mat(tuple(tuple(t if r == col else
+                         (_small_entry(rng, tower) if col == r + 1
+                          else tower.zero())
+                         for col in range(m)) for r in range(m)))
+    random_module = TModule(tower, [a0, Mat(tuple(
+        tuple(_small_entry(rng, tower) for _ in range(m))
+        for _ in range(m)))])
+    random_b = [[OrePoly.scalar(tower, [_small_entry(rng, tower)
+                                        for _ in range(rng.randrange(1, 4))])
+                 for _ in range(m - s)] for _ in range(s)]
+    subs = []
+    for module, b in ((carlitz_power, stable_b), (random_module, random_b)):
+        z = tower.zero()
+        deg = max(e.degree for row in b for e in row)
+        mats = []
+        for i in range(max(deg, 0) + 1):
+            cells = [[z] * m for _ in range(s)]
+            for r in range(s):
+                if i == 0:
+                    cells[r][order[r]] = tower.one()
+                for k, e in enumerate(b[r]):
+                    if i <= e.degree:
+                        cells[r][order[s + k]] = e.coeff(i)[0, 0]
+            mats.append(Mat(cells))
+        graph = OrePoly(tower, s, s, (c,)) * OrePoly(tower, s, m, mats)
+        subs.append(KernelSubgroup(module, graph))
+    return subs
+
+
+def _search_only(sub):
+    """The same subgroup, decided by the witness system alone."""
+    ref = KernelSubgroup(sub.module, sub.presentation)
+    ref.graph = None
+    return ref
+
+
+@pytest.mark.parametrize("kind", ["one", "const", "nonconst", "block"])
+def test_graph_division_agrees_with_the_witness_system(shallow_tower, kind):
+    tower = shallow_tower
+    fq = tower.fq
+    rng = random.Random(f"{kind}-{tower.depth}-{fq.q}")
+    stable = 0
+    for _ in range(2):
+        for sub in _graph_subgroups(rng, tower, kind):
+            p = sub.presentation
+            assert sub.graph is not None
+            ref = _search_only(sub)
+            for a in (_t_monomial(fq, 1),
+                      Poly(fq, [rng.randrange(fq.q) for _ in range(2)] + [1])):
+                g = sub._pullback(a)
+                q = graph_witness(p, sub.graph, g)
+                assert q == left_multiple_witness(p, g)
+                bounds = [None]
+                if q is not None and q.degree > 0:
+                    bounds.append(q.degree - 1)
+                    stable += 1
+                for bound in bounds:
+                    verdict = sub.stability(a, bound)
+                    assert verdict == ref.stability(a, bound)
+                    if bound is not None:
+                        assert verdict == NoWitnessUpTo(bound)
+    assert stable
+
+
+class _WitnessSystem(Exception):
+    pass
+
+
+def test_graph_presentations_build_no_witness_system(tower2, monkeypatch):
+    module = counterexample_module(sqrt_tower(tower2))
+    graphs = (curve_of_squares(module), axis_subgroup(module))
+    polys = [_t_monomial(tower2.fq, j) for j in (1, 2, 3)]
+    expected = [_search_only(sub).stability(a)
+                for sub in graphs for a in polys]
+
+    def refuse(*args):
+        raise _WitnessSystem
+    monkeypatch.setattr(subgroups, "left_multiple_witness", refuse)
+    assert [sub.stability(a) for sub in graphs for a in polys] == expected
+    assert {type(v) for v in expected} == {NoWitnessUpTo, Stable}
+    # [tau], [tau^2] has no tau-free column and still reaches the search
+    o, z = module.tower.one(), module.tower.zero()
+    twisted = KernelSubgroup.from_entries(module, [[(z, o), (z, z, o)]])
+    assert twisted.graph is None
+    with pytest.raises(_WitnessSystem):
+        twisted.stability(polys[0])
+
+
+def test_zero_divisor_block_is_left_to_the_search(tower3):
+    # U^2 = T^2 makes a quotient ring in which U - T is a zero divisor
+    t = tower3.T()
+    ring = tower3.extend("U", (tower3.zero() - t * t, tower3.zero(),
+                               tower3.one()))
+    o, z, zd = ring.one(), ring.zero(), ring.gen() - ring.T()
+    module = product([carlitz(ring), carlitz(ring)])
+    blocked = KernelSubgroup.from_entries(module, [[(zd,), (z, o)]])
+    assert blocked.graph is None
+    graphs = [KernelSubgroup.from_entries(module, [[(o,), (z, zd)]]),
+              KernelSubgroup.from_entries(module, [[(o,), (zd,)]])]
+    for sub in graphs:
+        assert sub.graph is not None
+        for j in (1, 2, 3):
+            a = _t_monomial(tower3.fq, j)
+            assert sub.stability(a) == _search_only(sub).stability(a)
