@@ -4,7 +4,7 @@ from .errors import (TmlError, FieldMismatch, ShapeMismatch, ZeroDivisor,
                      NotNilpotent, NonInvertibleLeading, SingularSystem,
                      ParseError, BadParameter, CertificateError)
 from .fields import (FiniteField, Poly, RatFunc, FieldTower, TowerElement,
-                     frobenius, pth_root, substitute, ratfunc_substitute)
+                     pth_root, substitute, ratfunc_substitute)
 from .linalg import (Mat, gauss_solve, gauss_inverse, matrix_rank,
                      kernel_basis)
 from .ore import OrePoly, right_divide, left_multiple_witness

@@ -30,10 +30,9 @@ from .exponential import (RestrictionVerdict, exp_restriction_check,
 from .manifest import (Manifest, _module_name, load_manifest, parse_manifest,
                        poly_from_text)
 from .ore import OrePoly, scalar_text
-from .structure import (AbelianCertificate, InconclusiveScan,
-                        NonabelianCertificate, abelian_scan)
-from .subgroups import (NoWitnessUpTo, ProvablyUnstable, Stable,
-                        minimal_j_scan)
+from .structure import (AbelianCertificate, NonabelianCertificate,
+                        abelian_scan, rank_report)
+from .subgroups import ProvablyUnstable, Stable, minimal_j_scan
 from .tmodule import TModule
 from .torsion import TorsionCertificate, act_on_point, torsion_order_search
 
@@ -186,16 +185,14 @@ def cmd_minimal_j(args):
     lines = [f"scan of monomial exponents for {args.subgroup}:"]
     rows = []
     for row in scan.rows:
-        if isinstance(row.verdict, Stable):
-            text = f"stable (witness degree {row.verdict.witness.degree})"
-            kind = "stable"
-        elif isinstance(row.verdict, ProvablyUnstable):
-            text = f"unstable ({row.verdict.reason})"
-            kind = "unstable"
+        v = row.verdict
+        if isinstance(v, Stable):
+            kind, detail = "stable", f"witness degree {v.witness.degree}"
+        elif isinstance(v, ProvablyUnstable):
+            kind, detail = "unstable", v.reason
         else:
-            text = f"inconclusive (no witness of degree <= {row.verdict.bound})"
-            kind = "inconclusive"
-        lines.append(f"  exponent {row.j}: {text}")
+            kind, detail = "inconclusive", f"no witness of degree <= {v.bound}"
+        lines.append(f"  exponent {row.j}: {kind} ({detail})")
         rows.append({"j": row.j, "verdict": kind})
     payload = {"command": "minimal-j", "subgroup": args.subgroup,
                "rows": rows, "found": scan.found,
@@ -203,14 +200,12 @@ def cmd_minimal_j(args):
                "bound_hint": scan.bound_hint}
     if scan.found is not None:
         lines.append(f"least stabilizing exponent: {_good(str(scan.found))}")
-        lines.append("  whenever any exponent stabilizes, the least one is "
-                     f"at most {scan.bound_hint}")
-        return 0, lines, payload
-    lines.append(_open("no stabilizing exponent found")
-                 + f" up to {scan.searched_to}")
+    else:
+        lines.append(_open("no stabilizing exponent found")
+                     + f" up to {scan.searched_to}")
     lines.append("  whenever any exponent stabilizes, the least one is "
                  f"at most {scan.bound_hint}")
-    return 1, lines, payload
+    return (0 if scan.found is not None else 1), lines, payload
 
 
 def cmd_j_bound(args):
@@ -280,7 +275,6 @@ def cmd_rank(args):
     manifest = _load_manifest(args)
     module = _module(manifest, args)
     module.require_nilpotent()
-    from .structure import rank_report
     count = rank_report(module, max_index=args.max_i)
     payload = {"command": "rank", "module": args.module, "generators": count}
     if count is None:

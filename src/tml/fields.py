@@ -308,6 +308,8 @@ def _power(x, n, one):
     """x**n by repeated squaring from the lowest set bit of n: one
     squaring per bit below the top one and one product per further set
     bit, so T**2 is one product and T**16 four."""
+    if n < 0:
+        raise BadParameter(f"negative power {n}")
     if not n:
         return one
     while not n & 1:
@@ -667,6 +669,8 @@ class RatFunc:
 
     def frob(self, i: int = 1):
         """The q**i power; on F_q(T) this just stretches exponents."""
+        if i < 0:
+            raise BadParameter(f"negative Frobenius power {i}")
         if i == 0 or self.is_zero():
             return self
         k = self.field.q ** i
@@ -1013,6 +1017,8 @@ class TowerElement:
         """The q**i power, computed as a ring homomorphism: each of the i
         steps stretches every nonzero coordinate x_j to x_j**q and adds
         x_j**q * frob(e_j) from the tower's Frobenius table."""
+        if i < 0:
+            raise BadParameter(f"negative Frobenius power {i}")
         if i == 0:
             return self
         t = self.tower
@@ -1048,13 +1054,6 @@ class TowerElement:
 
     def __repr__(self):
         return f"TowerElement({self.to_expr()})"
-
-
-def frobenius(x: TowerElement, i: int = 1) -> TowerElement:
-    """x**(q**i), the i-fold twist."""
-    if i < 0:
-        raise ValueError("negative Frobenius power")
-    return x.frob(i)
 
 
 def pth_root(x: TowerElement):

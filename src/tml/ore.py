@@ -87,9 +87,11 @@ class OrePoly:
         self._check(other)
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("adding twisted polynomials of different shapes")
-        n = max(len(self.coeffs), len(other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
         return OrePoly(self.tower, self.rows, self.cols,
-                       tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+                       tuple([x + y for x, y in zip(a, b)]) + a[len(b):])
 
     def __neg__(self):
         return OrePoly(self.tower, self.rows, self.cols,

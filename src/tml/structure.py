@@ -9,11 +9,12 @@ certificates are produced:
     action image plus a row of smaller degree; the rows of tau-degree
     below deg phi(T^i) then generate everything.
 
-  * nonabelian: boolean occupancy patterns of coefficient matrices are
-    closed under composition with the pattern of phi(T); when the closure
-    reaches a fixed point of bounded tau-degree, every action image has
-    tau-degree at most that bound, while the row module contains rows of
-    arbitrarily large tau-degree, so no finite generating set exists.
+  * nonabelian: the support pattern of phi(T), the set of positions
+    (tau-degree, row, column) that can be nonzero, is closed under
+    composition; when the closure reaches a fixed point of bounded
+    tau-degree, every action image has tau-degree at most that bound,
+    while the row module contains rows of arbitrarily large tau-degree,
+    so no finite generating set exists.
 
 When neither certificate appears within the scan limits the report is
 honestly inconclusive.
@@ -30,86 +31,69 @@ from .tmodule import TModule
 
 
 class OrePattern:
-    """Boolean occupancy pattern of a matrix twisted polynomial: one
-    rows x cols grid of bits per tau-degree, trailing empty grids stripped."""
+    """Support pattern of a matrix twisted polynomial: the set of
+    positions (tau-degree, row, column) whose entry can be nonzero.
+    slices gives it back as one rows x cols grid of bits per tau-degree,
+    up to the largest degree present."""
 
-    __slots__ = ("rows", "cols", "slices")
+    __slots__ = ("rows", "cols", "positions")
 
     def __init__(self, rows, cols, slices):
-        slices = tuple(tuple(tuple(bool(b) for b in row) for row in s)
-                       for s in slices)
-        while slices and not any(b for row in slices[-1] for b in row):
-            slices = slices[:-1]
         self.rows = rows
         self.cols = cols
-        self.slices = slices
+        self.positions = frozenset(
+            (i, r, c) for i, s in enumerate(slices)
+            for r, row in enumerate(s) for c, b in enumerate(row) if b)
+
+    @classmethod
+    def _at(cls, rows, cols, positions) -> "OrePattern":
+        out = cls(rows, cols, ())
+        out.positions = frozenset(positions)
+        return out
 
     @classmethod
     def of(cls, op: OrePoly) -> "OrePattern":
-        slices = [tuple(tuple(not m[r, c].is_zero() for c in range(op.cols))
-                        for r in range(op.rows)) for m in op.coeffs]
-        return cls(op.rows, op.cols, slices)
+        return cls._at(op.rows, op.cols, (
+            (i, r, c) for i, m in enumerate(op.coeffs)
+            for r, row in enumerate(m.data)
+            for c, x in enumerate(row) if not x.is_zero()))
 
     @property
     def max_degree(self) -> int:
-        return len(self.slices) - 1
+        return max((i for i, _, _ in self.positions), default=-1)
 
-    def is_empty(self) -> bool:
-        return not self.slices
-
-    def slice(self, i):
-        if 0 <= i < len(self.slices):
-            return self.slices[i]
-        return tuple((False,) * self.cols for _ in range(self.rows))
+    @property
+    def slices(self):
+        return tuple(tuple(tuple((i, r, c) in self.positions
+                                 for c in range(self.cols))
+                           for r in range(self.rows))
+                     for i in range(self.max_degree + 1))
 
     def union(self, other: "OrePattern") -> "OrePattern":
-        n = max(len(self.slices), len(other.slices))
-        out = []
-        for i in range(n):
-            a, b = self.slice(i), other.slice(i)
-            out.append(tuple(tuple(x or y for x, y in zip(ra, rb))
-                             for ra, rb in zip(a, b)))
-        return OrePattern(self.rows, self.cols, out)
+        return OrePattern._at(self.rows, self.cols,
+                              self.positions | other.positions)
 
     def compose(self, other: "OrePattern") -> "OrePattern":
         """Pattern dominating any product self * other (self acts after).
 
-        The twist never changes which entries are nonzero, so boolean
-        matrix products per degree pair give a sound upper bound.
+        The twist never changes which entries are nonzero, so an entry
+        (r, c) of degree i + j can be nonzero only through some (r, k) of
+        degree i in self and (k, c) of degree j in other.
         """
-        if self.is_empty() or other.is_empty():
-            return OrePattern(self.rows, other.cols, ())
-        n = self.max_degree + other.max_degree
-        out = [[[False] * other.cols for _ in range(self.rows)]
-               for _ in range(n + 1)]
-        for i, a in enumerate(self.slices):
-            for j, b in enumerate(other.slices):
-                grid = out[i + j]
-                for r in range(self.rows):
-                    ar = a[r]
-                    for c in range(other.cols):
-                        if not grid[r][c]:
-                            grid[r][c] = any(ar[k] and b[k][c]
-                                             for k in range(self.cols))
-        return OrePattern(self.rows, other.cols, out)
+        return OrePattern._at(self.rows, other.cols, {
+            (i + j, r, c) for i, r, k in self.positions
+            for j, k2, c in other.positions if k == k2})
 
     def dominates(self, other: "OrePattern") -> bool:
-        if len(other.slices) > len(self.slices):
-            for s in other.slices[len(self.slices):]:
-                if any(b for row in s for b in row):
-                    return False
-        for a, b in zip(self.slices, other.slices):
-            for ra, rb in zip(a, b):
-                if any(y and not x for x, y in zip(ra, rb)):
-                    return False
-        return True
+        return other.positions <= self.positions
 
     def __eq__(self, other):
         return (isinstance(other, OrePattern) and self.rows == other.rows
-                and self.cols == other.cols and self.slices == other.slices)
+                and self.cols == other.cols
+                and self.positions == other.positions)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.slices))
+        return hash((self.rows, self.cols, self.positions))
 
     def grids(self):
         """Each slice as text: X marks a spot that can be nonzero, and
@@ -157,6 +141,15 @@ class AbelianScanReport:
     rows: tuple
 
 
+def _action_powers(module: TModule, count: int):
+    """phi(T^i) for i = 1..count, each one composition from the last."""
+    act = module.phi_t
+    for i in range(count):
+        if i:
+            act = act * module.phi_t
+        yield act
+
+
 def invertible_leading_index(module: TModule, max_index: int):
     """First i <= max_index where phi(T^i) has positive tau-degree and an
     invertible leading matrix; returns (i, degree, rows) with the scan
@@ -164,10 +157,8 @@ def invertible_leading_index(module: TModule, max_index: int):
     if max_index < 1:
         raise BadParameter("largest action power must be at least 1, "
                            f"got {max_index}")
-    rows, act = [], module.phi_t
-    for i in range(1, max_index + 1):
-        if i > 1:
-            act = act * module.phi_t
+    rows = []
+    for i, act in enumerate(_action_powers(module, max_index), 1):
         d = act.degree
         inv = d >= 1 and matrix_rank(act.leading()) == module.dimension
         rows.append(ScanRow(i, d, inv))
@@ -221,9 +212,4 @@ def rank_report(module: TModule, max_index: int = 8):
 
 def degree_sequence(module: TModule, max_j: int):
     """tau-degrees of phi(T^j) for j = 1..max_j."""
-    degrees, act = [], module.phi_t
-    for j in range(1, max_j + 1):
-        if j > 1:
-            act = act * module.phi_t
-        degrees.append(act.degree)
-    return tuple(degrees)
+    return tuple(act.degree for act in _action_powers(module, max_j))

@@ -161,14 +161,12 @@ class KernelSubgroup:
             # nonzero column can never stay inside the kernel
             if _col_is_zero(p, c) and not _col_is_zero(g, c):
                 return ProvablyUnstable("escaping-axis", column=c)
+        bound = max(g.degree, 0) if witness_bound is None else witness_bound
         if self.graph is not None:
-            q = graph_witness(p, self.graph, g, witness_bound)
+            q = graph_witness(p, self.graph, g, bound)
         else:
-            q = left_multiple_witness(p, g, witness_bound)
-        if q is None:
-            used = witness_bound if witness_bound is not None else max(g.degree, 0)
-            return NoWitnessUpTo(used)
-        return Stable(q)
+            q = left_multiple_witness(p, g, bound)
+        return NoWitnessUpTo(bound) if q is None else Stable(q)
 
     def __repr__(self):
         if self.is_full:

@@ -86,8 +86,6 @@ class TModule:
 
     def t_power(self, j: int) -> OrePoly:
         """The action of T**j, by repeated squaring."""
-        if j < 0:
-            raise ValueError("negative power of T")
         return _power(self.phi_t, j,
                       OrePoly.identity(self.tower, self.dimension))
 

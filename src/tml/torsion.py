@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .errors import BadParameter, CertificateError, FieldMismatch, ShapeMismatch
 from .fields import FieldTower, Poly, pth_root
-from .linalg import Mat
 from .ore import OrePoly
 from .subgroups import KernelSubgroup, MinimalJScan, minimal_j_scan
 from .tmodule import TModule, carlitz, drinfeld, product

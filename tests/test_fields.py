@@ -4,7 +4,7 @@ import pytest
 
 from tml.errors import BadParameter, FieldMismatch, TmlError, ZeroDivisor
 from tml.fields import (FieldTower, FiniteField, Poly, RatFunc, _power,
-                        frobenius, pth_root, ratfunc_substitute, substitute)
+                        pth_root, ratfunc_substitute, substitute)
 
 
 def test_prime_field_tables(f3):
@@ -141,7 +141,7 @@ def test_frobenius_is_qth_power(tower3, rng):
         den = Poly(tower3.fq, [rng.randrange(3) for _ in range(2)] + [1])
         x = ext.from_ratfunc(RatFunc(num, den)) + ext.gen()
         assert x.frob(1) == x ** 3
-        assert frobenius(x, 2) == (x ** 3) ** 3
+        assert x.frob(2) == (x ** 3) ** 3
 
 
 def test_quotient_ring_zero_divisor(tower2):
@@ -241,6 +241,26 @@ def test_tower_power_matches_repeated_multiplication(any_tower):
         # a denominator at depth 2 makes forty products take seconds
         x = (t.gen() + t.one()).inverse()
         _assert_powers_by_repeated_multiplication(x, t.one())
+
+
+def test_negative_powers_are_refused(shallow_tower):
+    # -1 >> 1 is -1, so repeated squaring would never stop
+    t = shallow_tower
+    x = t.gen() + t.one()
+    rf = RatFunc(Poly.gen(t.fq), Poly(t.fq, (1, 1)))
+    for value in (x, rf, rf.num):
+        with pytest.raises(BadParameter):
+            value ** -1
+        with pytest.raises(BadParameter):
+            value ** -4
+
+
+def test_negative_frobenius_is_refused(shallow_tower):
+    t = shallow_tower
+    for x in (t.gen(), t.T(), t.zero(), t.base().T().data):
+        with pytest.raises(BadParameter):
+            x.frob(-1)
+    assert t.gen().frob(0) == t.gen()
 
 
 def test_power_of_t_over_f2(f2):

@@ -4,8 +4,9 @@ Each case runs tml.cli.main in-process and compares its stdout and exit
 code with tests/golden/<case>.out and the "exit" entry of
 tests/golden/exits.json.  The cases cover the two packaged manifests and
 the small manifests in tests/golden/manifests over F_3, F_9, F_4 with
-U^2 = T, F_5 with V^2 = T and F_343, and graph subgroups over F_3.  After a deliberate output change,
-rewrite the files with
+U^2 = T, F_5 with V^2 = T and F_343, graph subgroups over F_3 and two
+nonabelian modules over F_3.  After a deliberate output change, rewrite
+the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -102,6 +103,13 @@ _CROSS["f3g"] = {
        for name in _GRAPHS for poly in ("t", "t2", "t3")},
     **{f"minimal-j-{name.lower()}": ["minimal-j", "--subgroup", name]
        for name in _GRAPHS},
+}
+
+# two nonabelian modules over F_3, whose abelian scan prints the closed
+# support pattern: the corner module and a 3x3 chain of degree bound 2
+_CROSS["nonab"] = {
+    f"{cmd}-{name.lower()}": [cmd, "--module", name]
+    for cmd in ("abelian-scan", "rank") for name in ("Corner", "Chain")
 }
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tml.errors import FieldMismatch, ShapeMismatch
+from tml.errors import BadParameter, FieldMismatch, ShapeMismatch
 from tml.fields import Poly, RatFunc
 from tml.linalg import (Mat, gauss_inverse, gauss_solve, kernel_basis,
                         matrix_rank)
@@ -88,6 +88,13 @@ def test_kernel_basis_annihilates(tower2, rng):
         assert all(x.is_zero() for x in m.matvec(v))
     full = Mat(((o, z), (z, o)))
     assert len(kernel_basis(tower2, full)) == 0
+
+
+def test_negative_frobenius_of_matrix_is_refused(shallow_tower):
+    t = shallow_tower
+    m = Mat(((t.gen(), t.zero()), (t.one(), t.T())))
+    with pytest.raises(BadParameter):
+        m.frob(-2)
 
 
 def test_frobenius_of_matrix_is_entrywise(tower2):

@@ -228,3 +228,28 @@ def test_composition_across_towers_raises_with_zero_operands(tower2,
     g = OrePoly(tower3, 2, 1, (Mat(((tower3.zero(),), (tower3.one(),))),))
     with pytest.raises(FieldMismatch):
         f * g
+
+
+def test_sums_of_different_degrees_build_no_zero_matrix(tower3, rng,
+                                                        monkeypatch):
+    # the shorter operand is not padded: its missing coefficients add
+    # nothing, so the longer operand's tail is kept as it is
+    def mats(n):
+        return [Mat(tuple(tuple(_rand_elem(rng, tower3, 1) for _ in range(2))
+                          for _ in range(2))) for _ in range(n)]
+
+    short, long_ = mats(2), mats(4)
+    expected = [short[0] + long_[0], short[1] + long_[1]] + long_[2:]
+    f = OrePoly.from_matrices(tower3, short)
+    g = OrePoly.from_matrices(tower3, long_)
+
+    def refuse(*args):
+        raise AssertionError("zero matrix built")
+
+    monkeypatch.setattr(Mat, "zeros", refuse)
+    assert list((f + g).coeffs) == expected
+    assert list((g + f).coeffs) == expected
+    assert (g - g).is_zero()
+    assert (f + OrePoly.zero(tower3, 2, 2)) == f
+    assert list((f - g).coeffs) == [short[0] - long_[0], short[1] - long_[1],
+                                    -long_[2], -long_[3]]

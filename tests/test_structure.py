@@ -34,6 +34,85 @@ def test_pattern_union_and_dominates(tower2):
     assert not a.dominates(b)
 
 
+# reference copy of the grid algebra the position sets replaced: one
+# rows x cols grid of bits per tau-degree, trailing empty grids stripped
+def _strip(slices):
+    slices = [tuple(tuple(bool(b) for b in row) for row in s) for s in slices]
+    while slices and not any(b for row in slices[-1] for b in row):
+        slices.pop()
+    return tuple(slices)
+
+
+def _grid(slices, i, rows, cols):
+    if 0 <= i < len(slices):
+        return slices[i]
+    return tuple((False,) * cols for _ in range(rows))
+
+
+def _grid_union(a, b, rows, cols):
+    return _strip(tuple(tuple(x or y for x, y in zip(ra, rb))
+                        for ra, rb in zip(_grid(a, i, rows, cols),
+                                          _grid(b, i, rows, cols)))
+                  for i in range(max(len(a), len(b))))
+
+
+def _grid_compose(a, b, rows, inner, cols):
+    if not a or not b:
+        return ()
+    out = [[[False] * cols for _ in range(rows)]
+           for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for r in range(rows):
+                for c in range(cols):
+                    out[i + j][r][c] |= any(x[r][k] and y[k][c]
+                                            for k in range(inner))
+    return _strip(out)
+
+
+def _grid_dominates(a, b):
+    if any(bit for s in b[len(a):] for row in s for bit in row):
+        return False
+    return all(y <= x for sa, sb in zip(a, b)
+               for ra, rb in zip(sa, sb) for x, y in zip(ra, rb))
+
+
+def _random_slices(rng, rows, cols):
+    density = rng.choice((0.0, 0.2, 0.5, 0.9))
+    return _strip(tuple(tuple(rng.random() < density for _ in range(cols))
+                        for _ in range(rows))
+                  for _ in range(rng.randrange(5)))
+
+
+def test_position_sets_match_grid_algebra():
+    rng = random.Random(16)
+    for _ in range(400):
+        rows, inner, cols = (rng.randrange(1, 4) for _ in range(3))
+        a = _random_slices(rng, rows, inner)
+        b = _random_slices(rng, rows, inner)
+        c = _random_slices(rng, inner, cols)
+        pa, pb, pc = (OrePattern(rows, inner, a), OrePattern(rows, inner, b),
+                      OrePattern(inner, cols, c))
+        assert pa.slices == a and pa.max_degree == len(a) - 1
+        assert pa.union(pb).slices == _grid_union(a, b, rows, inner)
+        assert pa.compose(pc) == OrePattern(
+            rows, cols, _grid_compose(a, c, rows, inner, cols))
+        assert pa.compose(pc).slices == _grid_compose(a, c, rows, inner, cols)
+        assert pa.dominates(pb) == _grid_dominates(a, b)
+        assert pa.union(pb).dominates(pb) and _grid_dominates(
+            _grid_union(a, b, rows, inner), b)
+
+
+def test_pattern_keeps_empty_inner_slices():
+    pat = OrePattern(1, 2, (((True, False),), ((False, False),),
+                            ((False, True),), ((False, False),)))
+    assert pat.max_degree == 2
+    assert pat.grids() == ["X.", "..", ".X"]
+    assert OrePattern(2, 2, ()).max_degree == -1
+    assert OrePattern(2, 2, ()).grids() == []
+    assert pat == OrePattern(1, 2, (((1, 0),), ((0, 0),), ((0, 1),)))
+
+
 def test_pattern_closure_is_fixed_point(tower2):
     mod = corner_module(tower2)
     closed = pattern_closure(mod, degree_cap=8)

@@ -53,6 +53,11 @@ def test_t_power_matches_repeated_composition(tower2):
     assert mod.t_power(1) == mod.phi_t
 
 
+def test_negative_t_power_is_refused(tower2):
+    with pytest.raises(BadParameter):
+        carlitz_tensor(tower2, 2).t_power(-1)
+
+
 def test_validate_good_module(tower2):
     report = carlitz_tensor(tower2, 3).validate()
     assert report.valid
