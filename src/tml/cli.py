@@ -467,13 +467,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, lines, payload = args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except TmlError as exc:
+    except (UsageError, TmlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

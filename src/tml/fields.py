@@ -335,7 +335,7 @@ class Poly:
     FiniteField's tables, a row at a time.
     """
 
-    __slots__ = ("field", "rep", "_coeffs")
+    __slots__ = ("field", "rep")
 
     def __init__(self, field, coeffs):
         """coeffs lists the T**0, T**1, ... coefficients: any ints over a
@@ -377,11 +377,7 @@ class Poly:
         rep = self.rep
         if self.field.q != 2:
             return rep
-        try:
-            return self._coeffs
-        except AttributeError:
-            self._coeffs = tuple(map(int, bin(rep)[:1:-1])) if rep else ()
-            return self._coeffs
+        return tuple(map(int, bin(rep)[:1:-1])) if rep else ()
 
     @property
     def degree(self) -> int:

@@ -10,7 +10,7 @@ rational-function towers used here.
 
 from __future__ import annotations
 
-from .errors import ShapeMismatch
+from .errors import BadParameter, ShapeMismatch
 
 
 class Mat:
@@ -90,6 +90,8 @@ class Mat:
         return Mat(tuple(tuple(fn(a) for a in row) for row in self.data))
 
     def frob(self, i):
+        if i < 0:
+            raise BadParameter(f"negative Frobenius power {i}")
         if i == 0:
             return self
         return self.map(lambda a: a if a.is_zero() else a.frob(i))

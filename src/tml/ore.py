@@ -45,13 +45,6 @@ class OrePoly:
         return cls(tower, n, n, (Mat.identity(tower, n),))
 
     @classmethod
-    def from_matrices(cls, tower, mats):
-        mats = tuple(mats)
-        if not mats:
-            raise ValueError("need at least one coefficient matrix")
-        return cls(tower, mats[0].rows, mats[0].cols, mats)
-
-    @classmethod
     def scalar(cls, tower, elems):
         """A 1x1 twisted polynomial from a list of tower elements."""
         return cls(tower, 1, 1, tuple(Mat(((e,),)) for e in elems))
@@ -138,7 +131,8 @@ class OrePoly:
         """Apply the twisted polynomial to a coordinate vector.
 
         The vector may live in a tower extending the coefficient tower;
-        coefficients are lifted before evaluating sum A_i vec^(q^i).
+        nonzero coefficients are lifted before sum A_i vec^(q^i) is added
+        into one grid.
         """
         vec = tuple(vec)
         if len(vec) != self.cols:
@@ -149,25 +143,18 @@ class OrePoly:
         for v in vec:
             if v.tower != vt:
                 raise FieldMismatch("point coordinates in different towers")
-        if vt == self.tower:
-            lift = lambda m: m
-        elif vt.extends(self.tower):
-            lift = lambda m: m.map(vt.embed)
-        else:
+        if not vt.extends(self.tower):
             raise FieldMismatch("point tower does not extend the coefficient tower")
-        acc = None
+        cells = [[None] for _ in range(self.rows)]
         cur = vec
         for i, a in enumerate(self.coeffs):
             if i > 0:
                 cur = tuple(v.frob(1) for v in cur)
-            if a.is_zero():
-                continue
-            term = lift(a).matvec(cur)
-            acc = term if acc is None else tuple(x + y for x, y in zip(acc, term))
-        if acc is None:
-            z = vt.zero()
-            return (z,) * self.rows
-        return acc
+            rows = _sparse_rows(a.data)
+            if vt != self.tower:
+                rows = [[(k, vt.embed(x)) for k, x in row] for row in rows]
+            _mul_into(cells, rows, _sparse_rows(zip(cur)))
+        return tuple(v for v, in _filled(cells, vt.zero()))
 
     def __eq__(self, other):
         return (isinstance(other, OrePoly) and self.tower == other.tower
@@ -237,6 +224,22 @@ def right_divide(f: OrePoly, g: OrePoly) -> DivisionResult:
     return DivisionResult(quo, rem)
 
 
+def _witness_bound(p, bound, g=None):
+    """The degree bound of a witness Q with Q*p == g: bound, or
+    max(deg g, 0) when it is None.  g must have p's shape and bound must
+    be nonnegative; without g only bound is checked."""
+    if g is not None:
+        p._check(g)
+        if p.cols != g.cols or p.rows != g.rows:
+            raise ShapeMismatch("witness target shape mismatch")
+        if bound is None:
+            return max(g.degree, 0)
+    if bound is not None and bound < 0:
+        raise BadParameter("witness degree bound must be nonnegative, "
+                           f"got {bound}")
+    return bound
+
+
 def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     """A twisted polynomial Q with Q*p == g and deg Q <= bound, or None.
 
@@ -244,63 +247,42 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     one block of equations per tau-degree of the product, and re-verifies
     any solution by an independent composition before returning it.
     """
-    p._check(g)
-    if p.cols != g.cols or p.rows != g.rows:
-        raise ShapeMismatch("witness target shape mismatch")
-    if bound is None:
-        bound = max(g.degree, 0)
-    if bound < 0:
-        raise BadParameter("witness degree bound must be nonnegative, "
-                           f"got {bound}")
+    bound = _witness_bound(p, bound, g)
     tower = p.tower
     s, m = p.rows, p.cols
-    if s == 0:
-        q = OrePoly.zero(tower, 0, 0)
-        if q * p != g:
-            raise CertificateError("witness failed independent re-expansion")
-        return q
-    if p.is_zero():
+    if p.is_zero():  # every p with no rows is zero
         return None if not g.is_zero() else OrePoly.zero(tower, s, s)
-    max_deg = max(bound + p.degree, g.degree)
-    # twisted copies of p's coefficients, indexed by the tau-degree of
-    # Q; each is one Frobenius step from the one before
-    twisted = [p.coeffs]
-    for _ in range(bound):
-        twisted.append(tuple(c.frob(1) for c in twisted[-1]))
-    nunk = (bound + 1) * s
-    rows_out = []
+    zero = tower.zero()
+    # the matrix of Q -> Q*p, shared by every row of Q: row (n, c) at
+    # n*m + c, column (i, k) at i*s + k, entry (p_{n-i})^(q^i)[k, c]
+    system = [[zero] * ((bound + 1) * s)
+              for _ in range((max(bound + p.degree, g.degree) + 1) * m)]
+    live = set()
+    twisted = p.coeffs
+    for i in range(bound + 1):
+        if i:
+            twisted = tuple(c.frob(1) for c in twisted)
+        for j, pj in enumerate(twisted):
+            for k, row in enumerate(_sparse_rows(pj.data)):
+                for c, v in row:
+                    system[(i + j) * m + c][i * s + k] = v
+                    live.add((i + j) * m + c)
+    sols = []
     for r in range(s):
-        eq_rows = []
-        rhs = []
-        for n in range(max_deg + 1):
-            gn = g.coeff(n)
-            for c in range(m):
-                row = [tower.zero()] * nunk
-                any_nz = False
-                for i in range(min(n, bound) + 1):
-                    j = n - i
-                    if j > p.degree:
-                        continue
-                    pj = twisted[i][j]
-                    for k in range(s):
-                        v = pj[k, c]
-                        if not v.is_zero():
-                            row[i * s + k] = v
-                            any_nz = True
-                target = gn[r, c]
-                if not any_nz and target.is_zero():
-                    continue
-                eq_rows.append(row)
+        # an equation with no unknown and a zero target is dropped
+        eqs, rhs = [], []
+        for x, eq in enumerate(system):
+            n, c = divmod(x, m)
+            target = g.coeffs[n][r, c] if n <= g.degree else zero
+            if x in live or not target.is_zero():
+                eqs.append(eq)
                 rhs.append(target)
-        sol = gauss_solve(tower, eq_rows, rhs)
+        sol = gauss_solve(tower, eqs, rhs)
         if sol is None:
             return None
-        rows_out.append(sol)
-    mats = []
-    for i in range(bound + 1):
-        mats.append(Mat(tuple(tuple(rows_out[r][i * s + k] for k in range(s))
-                              for r in range(s))))
-    q = OrePoly(tower, s, s, mats)
+        sols.append(sol)
+    q = OrePoly(tower, s, s, [Mat([sol[i * s:(i + 1) * s] for sol in sols])
+                              for i in range(bound + 1)])
     if q * p != g:
         raise CertificateError("witness failed independent re-expansion")
     return q
@@ -341,11 +323,7 @@ def graph_witness(p: OrePoly, block, g: OrePoly, bound=None):
     g_i[:, cols] (C**-1)^(q^i) is the only candidate at any degree; it
     is returned only when an independent composition reproduces g.
     """
-    p._check(g)
-    if p.cols != g.cols or p.rows != g.rows:
-        raise ShapeMismatch("witness target shape mismatch")
-    if bound is None:
-        bound = max(g.degree, 0)
+    bound = _witness_bound(p, bound, g)
     cols, inv = block
     mats = []
     for i, gi in enumerate(g.coeffs):

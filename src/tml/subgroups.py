@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .errors import BadParameter, FieldMismatch, ShapeMismatch
 from .fields import Poly
 from .linalg import Mat, kernel_basis
-from .ore import OrePoly, graph_block, graph_witness, left_multiple_witness
+from .ore import (OrePoly, _witness_bound, graph_block, graph_witness,
+                  left_multiple_witness)
 from .tmodule import TModule
 
 
@@ -145,10 +146,8 @@ class KernelSubgroup:
         inconclusive bounded witness search (one right division for a
         graph presentation).
         """
-        if witness_bound is not None and witness_bound < 0:
-            raise BadParameter("witness degree bound must be nonnegative, "
-                               f"got {witness_bound}")
         p = self.presentation
+        _witness_bound(p, witness_bound)  # refused before any work
         tower = self.module.tower
         if p.rows == 0:
             return Stable(OrePoly.zero(tower, 0, 0))
@@ -161,7 +160,7 @@ class KernelSubgroup:
             # nonzero column can never stay inside the kernel
             if _col_is_zero(p, c) and not _col_is_zero(g, c):
                 return ProvablyUnstable("escaping-axis", column=c)
-        bound = max(g.degree, 0) if witness_bound is None else witness_bound
+        bound = _witness_bound(p, witness_bound, g)
         if self.graph is not None:
             q = graph_witness(p, self.graph, g, bound)
         else:

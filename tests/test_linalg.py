@@ -95,6 +95,9 @@ def test_negative_frobenius_of_matrix_is_refused(shallow_tower):
     m = Mat(((t.gen(), t.zero()), (t.one(), t.T())))
     with pytest.raises(BadParameter):
         m.frob(-2)
+    # a zero matrix forms no entry's twist, but is refused all the same
+    with pytest.raises(BadParameter):
+        Mat.zeros(t, 2, 2).frob(-1)
 
 
 def test_frobenius_of_matrix_is_entrywise(tower2):

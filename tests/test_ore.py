@@ -6,10 +6,15 @@ import textwrap
 
 import pytest
 
-from tml.errors import FieldMismatch, NonInvertibleLeading, ShapeMismatch
+from tml.errors import (BadParameter, CertificateError, FieldMismatch,
+                        NonInvertibleLeading, ShapeMismatch, TmlError,
+                        ZeroDivisor)
 from tml.fields import FieldTower, FiniteField, Poly, RatFunc
-from tml.linalg import Mat
+from tml.linalg import Mat, gauss_solve
 from tml.ore import OrePoly, left_multiple_witness, right_divide
+from tml.subgroups import KernelSubgroup
+from tml.tmodule import carlitz, product
+from tml.torsion import sqrt_tower, square_family_points
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -143,7 +148,7 @@ def test_ore_constructors(tower2):
     assert zero.is_zero()
     assert zero.rows == 2 and zero.cols == 3
     mats = (Mat.identity(tower2, 2), Mat.scalar(tower2, 2, tower2.T()))
-    fm = OrePoly.from_matrices(tower2, mats)
+    fm = OrePoly(tower2, 2, 2, mats)
     assert fm.degree == 1
     assert fm.coeff(1)[0, 0] == tower2.T()
 
@@ -240,8 +245,8 @@ def test_sums_of_different_degrees_build_no_zero_matrix(tower3, rng,
 
     short, long_ = mats(2), mats(4)
     expected = [short[0] + long_[0], short[1] + long_[1]] + long_[2:]
-    f = OrePoly.from_matrices(tower3, short)
-    g = OrePoly.from_matrices(tower3, long_)
+    f = OrePoly(tower3, 2, 2, short)
+    g = OrePoly(tower3, 2, 2, long_)
 
     def refuse(*args):
         raise AssertionError("zero matrix built")
@@ -253,3 +258,189 @@ def test_sums_of_different_degrees_build_no_zero_matrix(tower3, rng,
     assert (f + OrePoly.zero(tower3, 2, 2)) == f
     assert list((f - g).coeffs) == [short[0] - long_[0], short[1] - long_[1],
                                     -long_[2], -long_[3]]
+
+
+# -- differential test of the witness system against the per-row builder ----
+
+def _ref_witness(p, g, bound=None):
+    """One dense system per row of Q, every coefficient of g read
+    through OrePoly.coeff, zero matrices past its degree included."""
+    p._check(g)
+    if p.cols != g.cols or p.rows != g.rows:
+        raise ShapeMismatch("witness target shape mismatch")
+    if bound is None:
+        bound = max(g.degree, 0)
+    if bound < 0:
+        raise BadParameter(f"negative bound {bound}")
+    tower = p.tower
+    s, m = p.rows, p.cols
+    if s == 0:
+        q = OrePoly.zero(tower, 0, 0)
+        if q * p != g:
+            raise CertificateError("witness failed independent re-expansion")
+        return q
+    if p.is_zero():
+        return None if not g.is_zero() else OrePoly.zero(tower, s, s)
+    max_deg = max(bound + p.degree, g.degree)
+    twisted = [p.coeffs]
+    for _ in range(bound):
+        twisted.append(tuple(c.frob(1) for c in twisted[-1]))
+    nunk = (bound + 1) * s
+    rows_out = []
+    for r in range(s):
+        eq_rows = []
+        rhs = []
+        for n in range(max_deg + 1):
+            gn = g.coeff(n)
+            for c in range(m):
+                row = [tower.zero()] * nunk
+                any_nz = False
+                for i in range(min(n, bound) + 1):
+                    j = n - i
+                    if j > p.degree:
+                        continue
+                    pj = twisted[i][j]
+                    for k in range(s):
+                        v = pj[k, c]
+                        if not v.is_zero():
+                            row[i * s + k] = v
+                            any_nz = True
+                target = gn[r, c]
+                if not any_nz and target.is_zero():
+                    continue
+                eq_rows.append(row)
+                rhs.append(target)
+        sol = gauss_solve(tower, eq_rows, rhs)
+        if sol is None:
+            return None
+        rows_out.append(sol)
+    mats = []
+    for i in range(bound + 1):
+        mats.append(Mat(tuple(tuple(rows_out[r][i * s + k] for k in range(s))
+                              for r in range(s))))
+    q = OrePoly(tower, s, s, mats)
+    if q * p != g:
+        raise CertificateError("witness failed independent re-expansion")
+    return q
+
+
+def _outcome(search, p, g, bound):
+    """The witness, None, or the class of the exception raised."""
+    try:
+        return search(p, g, bound)
+    except TmlError as exc:
+        return type(exc)
+
+
+def _non_graph_presentations(tower):
+    """[tau], [tau^2], (tau, tau + tau^2), [[tau, 0], [0, 1]] and
+    [[T tau, 0], [0, 1]], whose twists are not constant: no tau-free
+    column carries an invertible constant block."""
+    o, z = tower.one(), tower.zero()
+    return [OrePoly.scalar(tower, (z, o)), OrePoly.scalar(tower, (z, z, o)),
+            OrePoly(tower, 1, 2, (Mat(((z, z),)), Mat(((o, o),)),
+                                  Mat(((z, o),))))] + [
+        OrePoly(tower, 2, 2, (Mat(((z, z), (z, o))), Mat(((a, z), (z, z)))))
+        for a in (o, tower.T())]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_witness_system_matches_per_row_builder(shallow_tower, sparse_mat,
+                                                seed):
+    rng = random.Random(seed)
+    for p in _non_graph_presentations(shallow_tower):
+        s, m = p.rows, p.cols
+        planted = [OrePoly(shallow_tower, s, s,
+                           [sparse_mat(rng, shallow_tower, s, s)
+                            for _ in range(rng.randrange(1, 3))]) * p
+                   for _ in range(2)]
+        absent = OrePoly(shallow_tower, s, m,
+                         [sparse_mat(rng, shallow_tower, s, m)
+                          for _ in range(rng.randrange(1, 3))])
+        for g in planted + [absent, OrePoly.zero(shallow_tower, s, m)]:
+            for bound in (None, 0, 2):
+                want = _outcome(_ref_witness, p, g, bound)
+                assert _outcome(left_multiple_witness, p, g, bound) == want
+        for g in planted:
+            assert left_multiple_witness(p, g, 2) * p == g
+
+
+def test_witness_system_matches_per_row_builder_in_a_quotient_ring(tower3):
+    # U^2 = T^2 makes a quotient ring in which U - T is a zero divisor;
+    # the presentations of test_zero_divisor_block_is_left_to_the_search
+    t = tower3.T()
+    ring = tower3.extend("U", (tower3.zero() - t * t, tower3.zero(),
+                               tower3.one()))
+    o, z, zd = ring.one(), ring.zero(), ring.gen() - ring.T()
+    module = product([carlitz(ring), carlitz(ring)])
+    outcomes = set()
+    for entries in ([[(zd,), (z, o)]], [[(o,), (z, zd)]], [[(o,), (zd,)]]):
+        sub = KernelSubgroup.from_entries(module, entries)
+        targets = [sub._pullback(Poly(tower3.fq, (0,) * j + (1,)))
+                   for j in (1, 2, 3)] + [sub.presentation]
+        for g in targets:
+            for bound in (None, 1):
+                want = _outcome(_ref_witness, sub.presentation, g, bound)
+                got = _outcome(left_multiple_witness, sub.presentation, g,
+                               bound)
+                assert got == want
+                outcomes.add(want if isinstance(want, type) else
+                             type(want))
+    assert outcomes == {type(None), OrePoly, ZeroDivisor}
+
+
+def test_witness_search_past_the_target_degree_reads_no_padding(tower3,
+                                                               sparse_mat,
+                                                               monkeypatch):
+    # bound + deg p runs past deg g: degrees above deg g carry only zero
+    # targets, so no zero matrix and no coefficient past the end is read
+    rng = random.Random(3)
+    tau, _, _, diag, _ = _non_graph_presentations(tower3)
+    q = OrePoly(tower3, 2, 2, [sparse_mat(rng, tower3, 2, 2),
+                               Mat.identity(tower3, 2)])
+    g = q * diag
+    absent = OrePoly.scalar(tower3, (tower3.one(),))
+
+    def refuse(*args):
+        raise AssertionError("zero matrix or padded coefficient built")
+
+    monkeypatch.setattr(Mat, "zeros", refuse)
+    monkeypatch.setattr(OrePoly, "coeff", refuse)
+    found = left_multiple_witness(diag, g, bound=g.degree + 3)
+    assert found is not None and found * diag == g
+    assert left_multiple_witness(tau, absent, bound=4) is None
+
+
+# -- differential test of evaluation against matvec-and-sum ------------------
+
+def _ref_evaluate(op, vec):
+    """Each coefficient lifted whole into the point's tower, one matvec
+    per nonzero coefficient, the products summed as tuples."""
+    vt = vec[0].tower
+    acc = None
+    cur = tuple(vec)
+    for i, a in enumerate(op.coeffs):
+        if i > 0:
+            cur = tuple(v.frob(1) for v in cur)
+        if a.is_zero():
+            continue
+        term = a.map(vt.embed).matvec(cur)
+        acc = term if acc is None else tuple(x + y for x, y in zip(acc, term))
+    return (vt.zero(),) * op.rows if acc is None else acc
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2)])
+def test_evaluation_matches_matvec_and_sum(p, e, sparse_mat, sparse_elem):
+    rng = random.Random(p * e)
+    base = FieldTower(FiniteField(p, e))
+    ext = sqrt_tower(base)
+    ext2 = square_family_points(ext)[1][0].tower
+    for coeffs, points in ((base, (base, ext, ext2)), (ext, (ext, ext2))):
+        for rows, cols in ((1, 1), (2, 2), (2, 3)):
+            op = _sparse_op(rng, sparse_mat, coeffs, rows, cols,
+                            rng.randrange(3))
+            for pt in points:
+                vec = tuple(sparse_elem(rng, pt) for _ in range(cols))
+                assert op.evaluate(vec) == _ref_evaluate(op, vec)
+    with pytest.raises(FieldMismatch):
+        OrePoly.identity(ext, 1).evaluate((base.one(),))
