@@ -69,10 +69,13 @@ def _matrix_text(exprs) -> str:
 
 
 def _ore_lines(op: OrePoly, indent: str = "  "):
-    """One line per tau-degree, or a single scalar line for 1x1."""
+    """One line per tau-degree, or a single scalar line for 1x1; the
+    zero polynomial of any shape is the line 0."""
     if op.rows == 1 and op.cols == 1:
         return [indent + scalar_text(op)]
     exprs = op.to_exprs()
+    if not exprs:
+        return [indent + "0"]
     return [f"{indent}tau^{i}: {_matrix_text(grid)}"
             for i, grid in enumerate(exprs)]
 

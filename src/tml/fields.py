@@ -73,6 +73,38 @@ def _gf2_divmod(a, b):
     return q, a
 
 
+def _spread_bits(n):
+    """n with bit i moved to bit 2i."""
+    return sum(((n >> i) & 1) << 2 * i for i in range(n.bit_length()))
+
+
+# a byte spread by 2, and the low and high nibble of a byte spread by 2
+_SPREAD = tuple(_spread_bits(b) for b in range(256))
+_SPREAD_LOW = bytes(_spread_bits(b & 15) for b in range(256))
+_SPREAD_HIGH = bytes(_spread_bits(b >> 4) for b in range(256))
+
+
+def _gf2_stretch(a, k):
+    """a with bit i moved to bit i*k: one spread by 2 per factor 2 of k,
+    from a byte table below 256 and otherwise by interleaving the nibble
+    spreads of a's bytes, then zeros between binary digits for the odd
+    part of k."""
+    while not k & 1:
+        k >>= 1
+        if a < 256:
+            a = _SPREAD[a]
+            continue
+        n = (a.bit_length() + 7) >> 3
+        b = a.to_bytes(n, "little")
+        out = bytearray(2 * n)
+        out[0::2] = b.translate(_SPREAD_LOW)
+        out[1::2] = b.translate(_SPREAD_HIGH)
+        a = int.from_bytes(out, "little")
+    if k > 1:
+        a = int(("0" * (k - 1)).join(bin(a)[2:]), 2)
+    return a
+
+
 def _gf2_gcd(a, b):
     while b:
         db = b.bit_length()
@@ -427,9 +459,11 @@ class Poly:
         self._check(other)
         f = self.field
         a, b = self.rep, other.rep
-        if not a:
+        # a zero or unit operand forms no product; 1 is rep 1 over F_2,
+        # else (1,)
+        if not a or b == 1 or b == (1,):
             return self
-        if not b:
+        if not b or a == 1 or a == (1,):
             return other
         if f.q == 2:
             return _poly(f, _gf2_mul(a, b))
@@ -517,8 +551,7 @@ class Poly:
         if k == 1 or not rep:
             return self
         if self.field.q == 2:
-            # bit i moves to bit i*k: k - 1 zeros between binary digits
-            return _poly(self.field, int(("0" * (k - 1)).join(bin(rep)[2:]), 2))
+            return _poly(self.field, _gf2_stretch(rep, k))
         out = [0] * ((len(rep) - 1) * k + 1)
         out[::k] = rep
         return _poly(self.field, tuple(out))
@@ -647,8 +680,18 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
+        x, y = self.num.rep, other.num.rep
         a, b = self.den.rep, other.den.rep
-        if (a == 1 or a == (1,)) and (b == 1 or b == (1,)):
+        pa, pb = a == 1 or a == (1,), b == 1 or b == (1,)
+        # a zero or unit operand forms no product, but an operand over
+        # another field still raises
+        if not x or pb and (y == 1 or y == (1,)):
+            self.num._check(other.num)
+            return self
+        if not y or pa and (x == 1 or x == (1,)):
+            self.num._check(other.num)
+            return other
+        if pa and pb:
             return RatFunc(self.num * other.num, self.den, trusted=True)
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -830,7 +873,12 @@ class FieldTower:
         return self.from_ratfunc(RatFunc.gen(self.fq))
 
     def const(self, c: int):
-        """Embed an encoded F_q element."""
+        """Embed an encoded F_q element; 0 and 1 give the shared zero()
+        and one()."""
+        if c == 0:
+            return self._zero
+        if c == 1:
+            return self._one
         return self.from_ratfunc(RatFunc.from_poly(Poly.constant(self.fq, c)))
 
     def from_ratfunc(self, rf: RatFunc):
@@ -852,6 +900,10 @@ class FieldTower:
             return elem
         if not self.extends(elem.tower):
             raise FieldMismatch("element does not live below this tower")
+        if elem is elem.tower._one:
+            return self._one
+        if elem is elem.tower._zero:
+            return self._zero
         vec = elem.tower.flatten(elem)
         return TowerElement(self, vec + self._zero.data[len(vec):])
 
@@ -871,7 +923,9 @@ class FieldTower:
         return TowerElement(self, tuple(vec))
 
     def _unit(self, i):
-        """The monomial basis element e_i."""
+        """The monomial basis element e_i; e_0 is the shared one."""
+        if not i:
+            return self._one
         vec = self.flatten(self._zero)
         return self.unflatten(vec[:i] + (RatFunc.one(self.fq),) + vec[i + 1:])
 
@@ -953,10 +1007,26 @@ class TowerElement:
 
     def __add__(self, other):
         self._check(other)
-        if self.tower.parent is None:
-            return TowerElement(self.tower, self.data + other.data)
-        return TowerElement(self.tower,
-                            tuple(a + b for a, b in zip(self.data, other.data)))
+        t = self.tower
+        if t.parent is None:
+            return self._wrap(self.data + other.data, other)
+        # a sum with the shared zero is never formed
+        if other is t._zero:
+            return self
+        if self is t._zero:
+            return other
+        return TowerElement(t, tuple(a + b for a, b in zip(self.data,
+                                                           other.data)))
+
+    def _wrap(self, data, other):
+        """The base-level result with coordinate data: self or other when
+        a RatFunc operation returned that operand unchanged, else a new
+        element."""
+        if data is self.data:
+            return self
+        if data is other.data:
+            return other
+        return TowerElement(self.tower, data)
 
     def __neg__(self):
         if self.tower.parent is None:
@@ -970,7 +1040,12 @@ class TowerElement:
         self._check(other)
         t = self.tower
         if t.parent is None:
-            return TowerElement(t, self.data * other.data)
+            return self._wrap(self.data * other.data, other)
+        # a product with the shared one or zero is never formed
+        if self is t._one or other is t._zero:
+            return other
+        if other is t._one or self is t._zero:
+            return self
         zero = t._zero.data[0]
         out = list(t._zero.data)
         for x, row in zip(self.data, t.mul_table):
@@ -1015,9 +1090,10 @@ class TowerElement:
         x_j**q * frob(e_j) from the tower's Frobenius table."""
         if i < 0:
             raise BadParameter(f"negative Frobenius power {i}")
-        if i == 0:
-            return self
         t = self.tower
+        # F_q is fixed by Frobenius, so the shared one and zero are too
+        if i == 0 or self is t._one or self is t._zero:
+            return self
         if t.parent is None:
             return TowerElement(t, self.data.frob(i))
         table, zero = t.frob_table, t._zero.data[0]

@@ -1,11 +1,13 @@
 """Small exact linear algebra over a coefficient field object.
 
 The field argument only needs zero() and one(); elements need the ring
-operators plus inverse(), is_zero(), zero() and _check(), the last
-raising FieldMismatch for an element of another field.  Matrices are
-stored dense, but products and eliminations skip zero entries: a product
-with a zero operand is never formed.  Everything is exact over the
-rational-function towers used here.
+operators plus inverse(), is_zero(), zero(), one() and _check(), the
+last raising FieldMismatch for an element of another field.  Matrices
+are stored dense, but products and eliminations skip zero entries and
+hand every entry 1 on as the field's shared one(), whose products
+return the other operand: a product with a zero or unit operand is
+never formed.  Everything is exact over the rational-function towers
+used here.
 """
 
 from __future__ import annotations
@@ -84,7 +86,17 @@ class Mat:
         return tuple(v for v, in _filled(cells, zero))
 
     def scale(self, s):
-        return Mat(tuple(tuple(a * s for a in row) for row in self.data))
+        """The product with a scalar s on the right: the matrix itself when
+        s is 1 or the matrix is empty, and zero entries are left as they
+        are; s from another field raises FieldMismatch, for a zero matrix
+        too."""
+        if not (self.rows and self.cols):
+            return self
+        self.data[0][0]._check(s)
+        if s == s.one():
+            return self
+        return Mat(tuple(tuple(a if a.is_zero() else a * s for a in row)
+                         for row in self.data))
 
     def map(self, fn):
         return Mat(tuple(tuple(fn(a) for a in row) for row in self.data))
@@ -124,9 +136,17 @@ def _zero_of(x, y):
 
 
 def _sparse_rows(data):
-    """Each row of data as its (column, entry) pairs with nonzero entry."""
-    return [[(c, v) for c, v in enumerate(row) if not v.is_zero()]
-            for row in data]
+    """Each row of data as its (column, entry) pairs with nonzero entry;
+    an entry equal to 1 is replaced by the shared one(), which forms no
+    product."""
+    return [[(c, _shared_one(v)) for c, v in enumerate(row)
+             if not v.is_zero()] for row in data]
+
+
+def _shared_one(v):
+    """v, or the shared one() of its field when v equals it."""
+    one = v.one()
+    return one if v == one else v
 
 
 def _mul_into(cells, a, b):
@@ -163,11 +183,15 @@ def _rref(rows, ncols):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r]
-        inv = piv[c].inverse()
         # columns left of c are zero in every row from r down
         nz = [k for k in range(c, len(piv)) if not piv[k].is_zero()]
-        for k in nz:
-            piv[k] = inv * piv[k]
+        one = piv[c].one()
+        if piv[c] != one:
+            inv = piv[c].inverse()
+            for k in nz[1:]:
+                piv[k] = inv * piv[k]
+        # the pivot is the shared one, so eliminating by it forms no product
+        piv[c] = one
         for i in range(nr):
             row = rows[i]
             if i != r and not row[c].is_zero():

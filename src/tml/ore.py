@@ -124,6 +124,12 @@ class OrePoly:
                        [Mat(_filled(grid, zero)) for grid in cells])
 
     def scale(self, e):
+        """The product with a tower element e on the right: self when e
+        is 1; e from another tower raises FieldMismatch."""
+        one = self.tower.one()
+        one._check(e)
+        if e == one:
+            return self
         return OrePoly(self.tower, self.rows, self.cols,
                        tuple(c.scale(e) for c in self.coeffs))
 

@@ -5,8 +5,8 @@ code with tests/golden/<case>.out and the "exit" entry of
 tests/golden/exits.json.  The cases cover the two packaged manifests and
 the small manifests in tests/golden/manifests over F_3, F_9, F_4 with
 U^2 = T, F_5 with V^2 = T and F_343, graph subgroups over F_3 and two
-nonabelian modules over F_3.  After a deliberate output change, rewrite
-the files with
+nonabelian modules over F_3, and the zero polynomial acting and as a
+witness.  After a deliberate output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -133,6 +133,10 @@ def _cases():
         for name, argv in commands.items():
             path = os.path.join(CROSS_MANIFESTS, stem + ".tml")
             cases[f"{name}-{stem}"] = argv + ["--manifest", path]
+    # the zero polynomial: an action and a witness larger than 1x1
+    cases["act-zero-prop3"] = ["act", "--module", "Cten2", "--poly", "0"]
+    cases["stability-blockpair-zero-f3g"] = _stability("BlockPair", "0") + [
+        "--manifest", os.path.join(CROSS_MANIFESTS, "f3g.tml")]
     for name, argv in list(cases.items()):
         cases[name + "-json"] = argv + ["--format", "json"]
     return cases

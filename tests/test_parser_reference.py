@@ -329,5 +329,9 @@ def test_literals_of_one_parse_share_one_object_per_element():
     scope = manifest._Scope(tower)
     assert scope.const(1) is scope.const(4)
     assert scope.const(0) is not scope.const(1)
-    assert scope.const(1) == tower.one()
-    assert manifest._Scope(tower).const(1) is not scope.const(1)
+    # 0 and 1 are the tower's shared zero and one; the memo of any other
+    # literal dies with its scope
+    assert scope.const(1) is tower.one()
+    assert scope.const(3) is tower.zero()
+    assert scope.const(2) is scope.const(5)
+    assert manifest._Scope(tower).const(2) is not scope.const(2)

@@ -117,6 +117,11 @@ def ref_stretch(a, k):
     return out
 
 
+def ref_gf2_stretch(rep, k):
+    """The earlier F_2 stretch: k - 1 zeros between binary digits."""
+    return int(("0" * (k - 1)).join(bin(rep)[2:]), 2) if rep else 0
+
+
 def ref_ratfunc(F, num, den):
     if not num:
         return [], [1]
@@ -197,6 +202,22 @@ def test_poly_matches_schoolbook_reference_above_the_table_limit():
         r = RatFunc(Poly(field, num), Poly(field, den))
         assert (list(r.num.coeffs), list(r.den.coeffs)) == ref_ratfunc(
             F, num, den)
+
+
+def test_gf2_stretch_matches_the_string_spread():
+    # reps below 256 take the byte table, larger ones the nibble
+    # interleave, and an odd factor of k the string spread
+    f2 = FiniteField(2)
+    rng = random.Random(20261019)
+    degrees = [0, 1, 6, 7, 8, 9, 15, 16, 63, 64, 4999, 5000]
+    degrees += [rng.randrange(5001) for _ in range(40)]
+    for d in degrees:
+        coeffs = [rng.randrange(2) for _ in range(d)] + [1]
+        x = Poly(f2, coeffs)
+        for k in range(2, 65):
+            assert x.stretch(k).rep == ref_gf2_stretch(x.rep, k), (d, k)
+    for k in (1, 2, 3, 64):
+        assert Poly.zero(f2).stretch(k).rep == 0
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
