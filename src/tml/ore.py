@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
                      NonInvertibleLeading, ShapeMismatch, ZeroDivisor)
-from .linalg import (Mat, _filled, _mul_into, _rref, _sparse_rows,
-                     gauss_inverse, gauss_solve)
+from .linalg import (Mat, _filled, _mul_into, _rref, _shared_one,
+                     _sparse_rows, gauss_inverse, gauss_solve)
 
 
 class OrePoly:
@@ -100,28 +100,49 @@ class OrePoly:
             raise ShapeMismatch("composition shape mismatch")
         if self.is_zero() or other.is_zero():
             return OrePoly.zero(self.tower, self.rows, other.cols)
-        # one cell grid per tau-degree of the product; None is zero
         cells = [[[None] * other.cols for _ in range(self.rows)]
                  for _ in range(self.degree + other.degree + 1)]
-        left = [_sparse_rows(a.data) for a in self.coeffs]
-        # a twist costs one Frobenius per entry: twist only the rows of
-        # b_j that a_i reads, those indexed by a_i's nonzero columns, and
-        # build each twist on the last one formed (twisted[k] holds row k
-        # of b_j raised to the q**level[k])
-        used = [{k for row in a for k, _ in row} for a in left]
-        for j, b in enumerate(other.coeffs):
-            twisted = _sparse_rows(b.data)
-            level = [0] * len(twisted)
-            for i, a in enumerate(left):
-                for k in used[i]:
-                    gap = i - level[k]
-                    if gap:
-                        twisted[k] = [(c, y.frob(gap)) for c, y in twisted[k]]
-                        level[k] = i
-                _mul_into(cells[i + j], a, twisted)
+        _compose_into(cells, [_sparse_rows(a.data) for a in self.coeffs],
+                      [[_sparse_rows(b.data) for b in other.coeffs]])
         zero = self.tower.zero()
         return OrePoly(self.tower, self.rows, other.cols,
                        [Mat(_filled(grid, zero)) for grid in cells])
+
+    def horner(self, a, x):
+        """self * a(x) by Horner's rule, for a in F_q[T] and a square x.
+
+        Constants of F_q commute with tau, so each step is acc * x +
+        self * c, with acc in sparse rows and each twist of x formed once
+        per call (see _compose_into).
+        """
+        tower, s, m = self.tower, self.rows, x.cols
+        if a.field != tower.fq:
+            raise FieldMismatch("polynomial over a different F_q")
+        self._check(x)
+        if self.cols != x.rows or x.rows != m:
+            raise ShapeMismatch("Horner needs self.cols == x.rows == x.cols")
+        own = [_sparse_rows(c.data) for c in self.coeffs]
+        twists = [[_sparse_rows(c.data) for c in x.coeffs]]
+        cells = []
+        for c in reversed(a.coeffs):
+            # the nonzero cells of the last step, ones as the shared one
+            acc = [[[(k, _shared_one(v)) for k, v in enumerate(row)
+                     if v is not None and not v.is_zero()] for row in grid]
+                   for grid in cells]
+            cells = [[[None] * m for _ in range(s)] for _ in
+                     range(max(len(acc) + x.degree if acc else 0, len(own)))]
+            _compose_into(cells, acc, twists)
+            if c:
+                e = tower.const(c)
+                term = own if e is tower.one() else [
+                    [[(k, v * e) for k, v in row] for row in rows]
+                    for rows in own]
+                for grid, rows in zip(cells, term):
+                    for out, row in zip(grid, rows):
+                        for k, v in row:
+                            out[k] = v if out[k] is None else out[k] + v
+        return OrePoly(tower, s, m, [Mat(_filled(grid, tower.zero()))
+                                     for grid in cells])
 
     def scale(self, e):
         """The product with a tower element e on the right: self when e
@@ -178,6 +199,30 @@ class OrePoly:
         if self.rows == 1 and self.cols == 1:
             return f"OrePoly({scalar_text(self)})"
         return f"OrePoly({self.rows}x{self.cols}, deg {self.degree})"
+
+
+def _compose_into(cells, acc, twists):
+    """Add acc * x into cells, one grid per tau-degree in which None is
+    zero.  acc holds sparse rows (see _sparse_rows) by tau-degree, and
+    twists[i][j][k] is row k of x_j raised to the q**i, None until read.
+    A twist costs one Frobenius per entry, so only the rows that acc_i
+    reads, those of its nonzero columns, are twisted, each once while
+    twists lives, from the highest twist of the row formed below i."""
+    for i, rows in enumerate(acc):
+        used = {k for row in rows for k, _ in row}
+        if not used:
+            continue
+        while len(twists) <= i:
+            twists.append([[None] * len(xj) for xj in twists[0]])
+        for j, b in enumerate(twists[i]):
+            for k in used:
+                if b[k] is None:
+                    low = i - 1
+                    while twists[low][j][k] is None:
+                        low -= 1
+                    b[k] = [(c, y.frob(i - low))
+                            for c, y in twists[low][j][k]]
+            _mul_into(cells[i + j], rows, b)
 
 
 def scalar_text(op: OrePoly) -> str:

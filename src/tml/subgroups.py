@@ -127,11 +127,7 @@ class KernelSubgroup:
         """p * phi(a) for the presentation p, by Horner's rule on p:
         composition is associative and constants of F_q commute with tau,
         so the m x m action of a is never formed."""
-        module = self.module
-        if a.field != module.tower.fq:
-            raise FieldMismatch("polynomial over a different F_q")
-        p = self.presentation
-        return a.at(module.phi_t, lambda c: p.scale(module.tower.const(c)))
+        return self.presentation.horner(a, self.module.phi_t)
 
     def tangent_preserved(self, a: Poly) -> bool:
         """Does the differential of the action preserve the tangent space

@@ -90,34 +90,23 @@ class TModule:
                       OrePoly.identity(self.tower, self.dimension))
 
     def act(self, a: Poly) -> OrePoly:
-        """The action of a base polynomial, by Horner composition."""
-        if a.field != self.tower.fq:
-            raise FieldMismatch("polynomial over a different F_q")
-        ident = OrePoly.identity(self.tower, self.dimension)
-        return a.at(self.phi_t, lambda c: ident.scale(self.tower.const(c)))
+        """The action of a base polynomial, by Horner's rule."""
+        return OrePoly.identity(self.tower, self.dimension).horner(
+            a, self.phi_t)
 
     def differential(self, a: Poly, left: Mat | None = None) -> Mat:
         """The tangent action: the base polynomial evaluated at a_0.
 
-        With a k x m matrix left, returns left * a(a_0) by Horner's rule
-        on left's rows, without forming the m x m matrix a(a_0).
+        With a k x m matrix left over the module's tower, returns left *
+        a(a_0) by Horner's rule on left's rows, without forming a(a_0).
         """
-        tower = self.tower
-        if a.field != tower.fq:
-            raise FieldMismatch("polynomial over a different F_q")
+        tower, m = self.tower, self.dimension
         if left is None:
-            left = Mat.identity(tower, self.dimension)
-        elif left.cols != self.dimension:
-            raise ShapeMismatch("left factor column count must match the dimension")
-        coeffs = a.coeffs
-        if not coeffs:
-            return Mat.zeros(tower, left.rows, self.dimension)
-        acc = left.scale(tower.const(coeffs[-1]))
-        for c in reversed(coeffs[:-1]):
-            acc = acc @ self.a0
-            if c:
-                acc = acc + left.scale(tower.const(c))
-        return acc
+            left = Mat.identity(tower, m)
+        elif left.rows and left.cols:
+            tower.one()._check(left[0, 0])
+        return OrePoly(tower, left.rows, left.cols, (left,)).horner(
+            a, OrePoly(tower, m, m, (self.a0,))).coeff(0)
 
     def j_bound(self) -> int:
         """Smallest power of p at or above the nilpotency order.

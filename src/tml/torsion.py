@@ -264,10 +264,7 @@ def root_action_step(ext: FieldTower) -> OrePoly:
 def root_action(ext: FieldTower, b: Poly) -> OrePoly:
     """The action of b evaluated at the adjoined root, by Horner
     composition in U + tau."""
-    if b.field != ext.fq:
-        raise FieldMismatch("polynomial over a different F_q")
-    ident = OrePoly.identity(ext, 1)
-    return b.at(root_action_step(ext), lambda c: ident.scale(ext.const(c)))
+    return OrePoly.identity(ext, 1).horner(b, root_action_step(ext))
 
 
 def sqrt_twist(ext: FieldTower) -> TModule:

@@ -1,7 +1,8 @@
 """Seeded cross-checks between the evaluation paths that remain: the
-Horner rule of Poly.at (actions, root actions, substitution) against the
-matrix loop of TModule.differential, the ring structure and plain sums
-of powers."""
+Horner kernel OrePoly.horner at phi_T (actions, root actions) against
+the same kernel at a_0 (TModule.differential) and the ring structure,
+and the Horner rule of Poly.at (substitution) against plain sums of
+powers."""
 
 import random
 
