@@ -27,8 +27,7 @@ from .corpus import run_corpus
 from .errors import ParseError, TmlError
 from .exponential import (RestrictionVerdict, exp_restriction_check,
                           exp_series, verify_functional_equation)
-from .manifest import (Manifest, _module_name, load_manifest, parse_manifest,
-                       poly_from_text)
+from .manifest import Manifest, _module_name, load_manifest, parse_manifest
 from .ore import OrePoly, scalar_text
 from .structure import (AbelianCertificate, NonabelianCertificate,
                         abelian_scan, rank_report)
@@ -103,10 +102,11 @@ def _module(manifest: Manifest, args) -> TModule:
 
 
 def _poly(manifest: Manifest, text: str):
-    """A --poly value: a [poly] section name, else a literal expression."""
+    """A --poly value: a [poly] section name, else a literal expression,
+    read where the manifest's [poly] sections are."""
     if text in manifest.polys:
         return manifest.polys[text]
-    return poly_from_text(manifest.field, text)
+    return manifest.base.poly(text)
 
 
 # -- commands ---------------------------------------------------------------

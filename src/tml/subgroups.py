@@ -19,6 +19,7 @@ Other presentations search by an exact linear system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadParameter, FieldMismatch, ShapeMismatch
 from .fields import Poly
@@ -73,9 +74,13 @@ class KernelSubgroup:
             raise ValueError("zero presentation; use zero rows for the full module")
         self.module = module
         self.presentation = presentation
-        # (columns, inverse) of the invertible constant block of a graph
-        # presentation, or None; see ore.graph_block
-        self.graph = graph_block(presentation) if presentation.rows else None
+
+    @cached_property
+    def graph(self):
+        """(columns, inverse) of the invertible constant block of a graph
+        presentation, or None (see ore.graph_block), formed on first use."""
+        p = self.presentation
+        return graph_block(p) if p.rows else None
 
     @classmethod
     def full(cls, module: TModule) -> "KernelSubgroup":

@@ -135,6 +135,12 @@ def test_bad_expression_is_parse_error(capsys):
     assert "parse error" in err
 
 
+def test_poly_dividing_by_zero_is_parse_error_at_the_slash(capsys):
+    code, out, err = _run(capsys, "act", "--module", "Cten2", "--poly", "1/0")
+    assert (code, out) == (2, "")
+    assert err == "parse error: inverse of zero rational function (col 2)\n"
+
+
 def test_missing_manifest_file(capsys):
     code, _, err = _run(capsys, "validate", "--manifest", "no/such.tml",
                         "--module", "X")

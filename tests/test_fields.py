@@ -380,7 +380,7 @@ PRINTED_TOWERS = {f"F{p ** e}" + "".join(f"({n})" for n in names[:d]):
 
 @pytest.mark.parametrize("name", sorted(PRINTED_TOWERS))
 def test_printer_matches_reference_and_reads_back(name):
-    from tml.manifest import _Scope, eval_expr
+    from tml.manifest import _Scope
     tower = _root_tower(*PRINTED_TOWERS[name])
     fq = tower.fq
     assert [fq.fmt(a) for a in range(fq.q)] == [ref_fmt(fq, a)
@@ -401,6 +401,6 @@ def test_printer_matches_reference_and_reads_back(name):
         assert text == ref_tower_text(x)
         if tower.parent is None:
             assert x.data.num.to_expr() == ref_poly_text(x.data.num)
-        assert eval_expr(text, scope.env, scope.const) == x, text
+        assert scope.expr(text) == x, text
         shapes.add("/" in text)
     assert shapes == {True, False}

@@ -325,3 +325,102 @@ def test_field_generator_name_reads_back():
     manifest = parse_manifest(json.dumps(doc))
     assert manifest.polys["b"].to_expr() == "w_1*T+1"
     assert parse_manifest(manifest_to_text(manifest)).polys == manifest.polys
+
+
+NO_TOWER = """\
+[field]
+p = 3
+
+[module Pair]
+m = 2
+a0 = T, 1, 0, T
+a1 = 0, 0, 2, 0
+
+[subgroup Axis]
+module = Pair
+row = [1], [0]
+
+[point P]
+module = Pair
+coords = T + 1, 2*T
+
+[poly A]
+expr = T^2 + 1
+"""
+
+
+def test_one_parse_makes_one_tower_and_tokenizes_each_value_once(
+        monkeypatch):
+    from tml import manifest as manifest_module
+    from tml.fields import FieldTower
+    towers = []
+    init = FieldTower.__init__
+
+    def counted_init(self, *args, **kwargs):
+        towers.append(self)
+        init(self, *args, **kwargs)
+
+    texts = []
+    tokenize = manifest_module._tokenize
+
+    def counted_tokenize(text, col_offset=0):
+        texts.append(text)
+        return tokenize(text, col_offset)
+
+    monkeypatch.setattr(FieldTower, "__init__", counted_init)
+    monkeypatch.setattr(manifest_module, "_tokenize", counted_tokenize)
+    manifest = parse_manifest(NO_TOWER)
+    # [poly] sections and --poly literals are read in the one base scope
+    assert towers == [manifest.tower] and manifest.base.tower is towers[0]
+    assert texts == ["T, 1, 0, T", "0, 0, 2, 0", "[1], [0]", "T + 1, 2*T",
+                     "T^2 + 1"]
+    assert manifest.base.poly("T^2 + 1") == manifest.polys["A"]
+    assert len(towers) == 1
+
+
+def test_two_parses_share_no_field_tower_module_or_subgroup():
+    one, two = parse_manifest(NO_TOWER), parse_manifest(NO_TOWER)
+    assert one.field is not two.field and one.tower is not two.tower
+    assert one.modules["Pair"] is not two.modules["Pair"]
+    assert one.subgroups["Axis"] is not two.subgroups["Axis"]
+    assert one.base is not two.base and one.base.memo is not two.base.memo
+    assert manifest_to_text(one) == manifest_to_text(two)
+
+
+def test_row_with_a_trailing_comma_is_read():
+    with_comma = parse_manifest(NO_TOWER.replace("[1], [0]", "[1], [0],"))
+    plain = parse_manifest(NO_TOWER)
+    assert manifest_to_text(with_comma) == manifest_to_text(plain)
+
+
+@pytest.mark.parametrize("text, message", [
+    (MODULE_INI.format(body="m = 1\na0 = T/0"),
+     "inverse of zero rational function (line 6, col 7)"),
+    (MODULE_INI.format(body="m = 1\na0 = T + (1 + T)/(T - T)"),
+     "inverse of zero rational function (line 6, col 17)"),
+    ("[field]\np = 3\n\n[tower]\nU = 0 - T^2, 0, 1\n\n[point P]\n"
+     "coords = T, 1/(U - T)\n",
+     "defining polynomial is reducible (line 8, col 14)"),
+], ids=["literal", "parenthesized", "quotient-ring"])
+def test_division_by_a_zero_divisor_is_placed_at_its_slash(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_manifest(text)
+    assert str(info.value) == message
+
+
+def test_literal_division_by_zero_is_placed_at_its_slash(f2):
+    with pytest.raises(ParseError) as info:
+        poly_from_text(f2, "T + 1/0")
+    assert str(info.value) == "inverse of zero rational function (col 6)"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_manifest_file_reads_with_universal_newlines(tmp_path, newline):
+    text = _packaged("root_twist.tml")
+    path = tmp_path / "m.tml"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert manifest_to_text(load_manifest(path)) == manifest_to_text(
+        parse_manifest(text))
+    path.write_bytes(b'{"field": {"p": 2},' + newline.encode() + b' "x": ]}')
+    with pytest.raises(ParseError, match=r"\(line 2, col 7\)"):
+        load_manifest(path)

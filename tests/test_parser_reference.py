@@ -1,5 +1,8 @@
 """The expression parser against a reference copy of its earlier,
-closure-based form (kept below), on seeded valid and malformed inputs.
+closure-based form (kept below), on seeded valid and malformed inputs;
+and the comma lists and bracket-group rows, which are now read from one
+tokenization of the value, against the text splitters that cut each
+value into parts before reading them one by one (also kept below).
 
 Both sides must give the same value, or the same error with the same
 message, line and column.  The inputs mix in non-ASCII letters and
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import pytest
 
 from tml import manifest
-from tml.errors import ParseError, TmlError
+from tml.errors import ParseError, TmlError, ZeroDivisor
 from tml.fields import FieldTower, FiniteField
 from tml.torsion import sqrt_tower
 
@@ -133,7 +136,15 @@ def ref_eval_expr(text, env, const, line=None, col_offset=0):
         while peek().kind == "op" and peek().text in ("*", "/"):
             op = take()
             w = parse_factor()
-            v = v * w if op.text == "*" else v / w
+            if op.text == "*":
+                v = v * w
+                continue
+            try:
+                v = v / w
+            except ZeroDivisor as exc:
+                # the other outcome changed since: a division by a zero
+                # divisor is now a parse error placed at its '/'
+                raise ParseError(str(exc), line, op.col) from None
         return v
 
     def parse_expr():
@@ -174,6 +185,60 @@ def ref_split_commas(text, line, col):
         raise ParseError("unbalanced '['", line, col + len(text))
     parts.append((text[start:], start))
     return [(p.strip(), line, col + off + _lead(p)) for p, off in parts]
+
+
+def ref_split_brackets(text, line, col):
+    """The parts of each bracket group of a 'row' value."""
+    groups = []
+    i = 0
+    n = len(text)
+    while i < n:
+        while i < n and text[i] in " \t":
+            i += 1
+        if i >= n:
+            break
+        if text[i] != "[":
+            raise ParseError("expected '['", line, col + i)
+        j = text.find("]", i)
+        if j < 0:
+            raise ParseError("unbalanced '['", line, col + i)
+        inner = text[i + 1:j]
+        if inner.strip():
+            groups.append(ref_split_commas(inner.strip(), line,
+                                           col + i + 1 + _lead(inner)))
+        else:
+            groups.append([])
+        i = j + 1
+        while i < n and text[i] in " \t":
+            i += 1
+        if i < n:
+            if text[i] != ",":
+                raise ParseError("expected ',' between groups", line,
+                                 col + i)
+            i += 1
+    return groups
+
+
+def ref_row(text, line, col, n, env, const):
+    """A row as build_manifest read it: split, count, then evaluate."""
+    groups = ref_split_brackets(text, line, col)
+    if len(groups) != n:
+        raise ParseError(f"row needs {n} bracket groups, got {len(groups)}",
+                         line, col)
+    return [[ref_eval_expr(part, env, const, pline, pcol - 1)
+             for part, pline, pcol in group] for group in groups]
+
+
+def ref_ints(text, line, col):
+    """int() of each part, as the field modulus read it."""
+    out = []
+    for part, pline, pcol in ref_split_commas(text, line, col):
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ParseError("entry must be an integer", pline,
+                             pcol) from None
+    return out
 
 
 # -- inputs ------------------------------------------------------------------
@@ -245,12 +310,34 @@ def _text(rng, names):
     return _mutate(rng, text) if r < 0.55 else text
 
 
+# texts int() reads, or refuses, differently from the expression grammar
+INTS = ["0", "1", "12", "-1", "+2", "٣", "1_0", "²", "1 2", "x", ""]
+
+
 def _list_text(rng, names):
-    parts = [_text(rng, names) for _ in range(rng.randint(1, 4))]
+    r = rng.random()
+    parts = [rng.choice(INTS) if r < 0.2 else _text(rng, names)
+             for _ in range(rng.randint(1, 4))]
     if rng.random() < 0.3:
         parts = ["[" + p + "]" for p in parts]
     text = ",".join(_sp(rng) + p + _sp(rng) for p in parts)
     return _mutate(rng, text) if rng.random() < 0.2 else text
+
+
+def _row_text(rng, names):
+    """One to three bracket groups of zero to three expressions, with
+    ' ', '\t' or other spaces around them and perhaps a trailing ','."""
+    clean = rng.random() < 0.5
+    groups = []
+    for _ in range(rng.randint(1, 3)):
+        parts = [_expr(rng, names, 1) if clean else _text(rng, names)
+                 for _ in range(rng.randint(0, 3))]
+        inner = ",".join(_sp(rng) + p + _sp(rng) for p in parts)
+        groups.append(rng.choice(["", "", " ", " ", "\t", "\u00a0"]) + "["
+                      + inner + "]"
+                      + rng.choice(["", "", " ", " ", "\t ", "\u2003"]))
+    text = ",".join(groups) + rng.choice(["", "", ",", ", ", " ,\t"])
+    return _mutate(rng, text) if rng.random() < 0.35 else text
 
 
 def _outcome(fn, *args):
@@ -288,8 +375,8 @@ def test_expressions_match_reference(scope):
         text = _text(rng, names)
         line = rng.choice([None, 1, 7])
         col_offset = rng.randrange(12)
-        new = _outcome(manifest.eval_expr, text, env,
-                       manifest._Scope(tower).const, line, col_offset)
+        new = _outcome(manifest._Scope(tower).expr, text, line,
+                       col_offset + 1)
         ref = _outcome(ref_eval_expr, text, env, _ref_const(tower), line,
                        col_offset)
         assert new == ref, text
@@ -308,20 +395,46 @@ def test_comma_lists_match_reference(scope):
         text = _list_text(rng, names)
         line = rng.choice([None, 3])
         col = rng.randrange(1, 9)
-        val = manifest._Val(text, line, col)
-        new = _outcome(lambda: [tuple(v) for v in manifest._split_commas(val)])
-        ref = _outcome(ref_split_commas, text, line, col)
+        val = (text, line, col)
+        # the parts and their positions, through int() as the field
+        # modulus reads them
+        new = _outcome(manifest._ints, val, "entry")
+        ref = _outcome(ref_ints, text, line, col)
         assert new == ref, text
         kinds.add(new[0])
         # the values as build_manifest reads them: the first error wins
-        new = _outcome(lambda: manifest._Scope(tower).values(
-            manifest._split_commas(val)))
+        new = _outcome(manifest._Scope(tower).values, val)
         ref = _outcome(lambda: [
             ref_eval_expr(part, env, _ref_const(tower), pline, pcol - 1)
             for part, pline, pcol in ref_split_commas(text, line, col)])
         assert new == ref, text
         kinds.add(new[0])
     assert {"value", "parse error"} <= kinds
+
+
+@pytest.mark.parametrize("scope", sorted(SCOPES))
+def test_rows_match_reference(scope):
+    tower = SCOPES[scope]()
+    env = manifest._Scope(tower).env
+    names = sorted(env)
+    rng = random.Random(f"row-{scope}")
+    kinds = set()
+    messages = set()
+    for _ in range(150):
+        text = _row_text(rng, names)
+        n = rng.choice([text.count("["), text.count("["), 1, 2])
+        line = rng.choice([None, 5])
+        col = rng.randrange(1, 9)
+        new = _outcome(manifest._Scope(tower).row, (text, line, col), n)
+        ref = _outcome(ref_row, text, line, col, n, env, _ref_const(tower))
+        assert new == ref, text
+        kinds.add(new[0])
+        if new[0] == "parse error":
+            messages.add(re.sub(r" \(.*| bracket groups.*", "", new[1]))
+    assert {"value", "parse error"} <= kinds
+    # each of the row's own errors, besides those of its expressions
+    assert {"expected '['", "expected ',' between groups", "unbalanced '['",
+            "row needs 1", "row needs 2"} <= messages
 
 
 def test_literals_of_one_parse_share_one_object_per_element():
