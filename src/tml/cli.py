@@ -167,11 +167,12 @@ def cmd_stability(args):
         lines = [f"{head} {_bad('unstable')} ({verdict.reason})"]
         if verdict.column is not None:
             lines.append(f"  escaping kernel coordinate: {verdict.column}")
-        if verdict.vector is not None:
-            vec = ", ".join(v.to_expr() for v in verdict.vector)
-            lines.append(f"  tangent vector moved out: ({vec})")
         payload.update(verdict="unstable", reason=verdict.reason,
                        column=verdict.column)
+        if verdict.vector is not None:
+            vec = [v.to_expr() for v in verdict.vector]
+            lines.append(f"  tangent vector moved out: ({', '.join(vec)})")
+            payload["vector"] = vec
         return 1, lines, payload
     lines = [f"{head} {_open('inconclusive')}",
              f"  no witness of twist degree at most {verdict.bound}; "
@@ -353,10 +354,11 @@ def cmd_torsion(args):
         killed = all(v.is_zero() for v in image)
         word = _good("annihilated") if killed else _bad("not annihilated")
         lines = [f"point ({coords}) under {a.to_expr()}: {word}"]
-        if not killed:
-            img = ", ".join(v.to_expr() for v in image)
-            lines.append(f"  image: ({img})")
         payload.update(poly=a.to_expr(), annihilated=killed)
+        if not killed:
+            img = [v.to_expr() for v in image]
+            lines.append(f"  image: ({', '.join(img)})")
+            payload["image"] = img
         return (0 if killed else 1), lines, payload
     outcome = torsion_order_search(module, point, args.bound)
     if isinstance(outcome, TorsionCertificate):

@@ -531,11 +531,8 @@ def build_manifest(sections) -> Manifest:
         top = max(mats)
         # a zero matrix only where an index is skipped
         zero = Mat.zeros(tower, m, m) if len(mats) <= top else None
-        try:
-            modules[name] = TModule(tower, [mats.get(i, zero)
-                                            for i in range(top + 1)])
-        except Exception as exc:
-            raise ParseError(str(exc), line, 1) from None
+        modules[name] = TModule(tower, [mats.get(i, zero)
+                                        for i in range(top + 1)])
 
     subgroups = {}
     for name, body, line in _named(sections, "subgroup", {"module", "row"}):

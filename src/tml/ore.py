@@ -7,6 +7,8 @@ the coefficient to the q-th power, so composition obeys
 
 Composition is written left-to-right as operator application: (f * g)
 acts by applying g first.  A scalar twisted polynomial is the 1x1 case.
+Whether g is a left multiple Q * p, at any degree, is decided by one
+right division by the weak Popov form of p (see left_multiple_witness).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
-                     NonInvertibleLeading, ShapeMismatch, ZeroDivisor)
-from .linalg import (Mat, _filled, _mul_into, _rref, _shared_one,
-                     _sparse_rows, gauss_inverse, gauss_solve)
+                     NonInvertibleLeading, ShapeMismatch)
+from .linalg import (Mat, _filled, _mul_into, _shared_one, _sparse_rows,
+                     gauss_inverse)
 
 
 class OrePoly:
@@ -294,97 +296,109 @@ def _witness_bound(p, bound, g=None):
 def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     """A twisted polynomial Q with Q*p == g and deg Q <= bound, or None.
 
-    Treats the coefficients of Q as unknowns of an exact linear system,
-    one block of equations per tau-degree of the product, and re-verifies
-    any solution by an independent composition before returning it.
+    One right division decides at every degree: p is brought to weak
+    Popov form U*p by left row operations, each row of g is divided by
+    it, and Q, formed from the quotients and U, is reduced modulo the
+    left kernel of p to its least degree, then re-verified by composition.
     """
     bound = _witness_bound(p, bound, g)
-    tower = p.tower
-    s, m = p.rows, p.cols
-    if p.is_zero():  # every p with no rows is zero
-        return None if not g.is_zero() else OrePoly.zero(tower, s, s)
-    zero = tower.zero()
-    # the matrix of Q -> Q*p, shared by every row of Q: row (n, c) at
-    # n*m + c, column (i, k) at i*s + k, entry (p_{n-i})^(q^i)[k, c]
-    system = [[zero] * ((bound + 1) * s)
-              for _ in range((max(bound + p.degree, g.degree) + 1) * m)]
-    live = set()
-    twisted = p.coeffs
-    for i in range(bound + 1):
-        if i:
-            twisted = tuple(c.frob(1) for c in twisted)
-        for j, pj in enumerate(twisted):
-            for k, row in enumerate(_sparse_rows(pj.data)):
-                for c, v in row:
-                    system[(i + j) * m + c][i * s + k] = v
-                    live.add((i + j) * m + c)
-    sols = []
-    for r in range(s):
-        # an equation with no unknown and a zero target is dropped
-        eqs, rhs = [], []
-        for x, eq in enumerate(system):
-            n, c = divmod(x, m)
-            target = g.coeffs[n][r, c] if n <= g.degree else zero
-            if x in live or not target.is_zero():
-                eqs.append(eq)
-                rhs.append(target)
-        sol = gauss_solve(tower, eqs, rhs)
-        if sol is None:
-            return None
-        sols.append(sol)
-    q = OrePoly(tower, s, s, [Mat([sol[i * s:(i + 1) * s] for sol in sols])
-                              for i in range(bound + 1)])
+    tower, s, m = p.tower, p.rows, p.cols
+    # a tau-free column of p leads: its shifted degree deg p + 1 is above
+    # every other column's, so a graph block supplies the leading terms
+    shift = [p.degree + 1 if all(not c.data[r][k] for c in p.coeffs[1:]
+                                 for r in range(s)) else 0
+             for k in range(m)] + [0] * s
+    # each row is [x | y] with x = y*p for the rows of p, which start as
+    # [p_r | e_r], and x - y*p = g_r for [g_r | 0]; left row operations
+    # keep both, so a row of g divided to x = 0 leaves -y, a row of Q
+    owners, kernel = _weak_popov(
+        [_lists(p, r) + [[tower.one()] if k == r else [] for k in range(s)]
+         for r in range(s)], range(m), shift)
+    rows = [_lists(g, r) + [[] for _ in range(s)] for r in range(s)]
+    if any(_divide(row, range(m), shift, owners) for row in rows):
+        return None
+    # the vanished rows of U*p span the left kernel of p; the remainder
+    # modulo it, rightmost first, has least degree and ties keep left entries
+    back = range(m + s - 1, m - 1, -1)
+    least, _ = _weak_popov(kernel, back, shift)
+    for row in rows:
+        _divide(row, back, shift, least)
+    deg = max((len(e) for row in rows for e in row), default=0) - 1
+    if deg > bound:
+        return None
+    q = OrePoly(tower, s, s, [
+        Mat(tuple(tuple(-e[i] if i < len(e) else tower.zero()
+                        for e in row[m:]) for row in rows))
+        for i in range(deg + 1)])
     if q * p != g:
         raise CertificateError("witness failed independent re-expansion")
     return q
 
 
-def graph_block(p: OrePoly):
-    """The graph block of p as (cols, inv), or None when p is no graph.
-
-    p (s x m) is a graph presentation when its tau-free columns, those
-    zero in every coefficient of tau-degree 1 or more, have a constant
-    part of rank s.  cols are the s pivot columns of that part, C the
-    s x s matrix on them, and inv is C**-1, or None when C is the
-    identity.  A pivot that is a zero divisor of a quotient-ring tower
-    leaves p to the linear search.
-    """
-    tower, s = p.tower, p.rows
-    free = [c for c in range(p.cols) if all(
-        m[r, c].is_zero() for m in p.coeffs[1:] for r in range(s))]
-    ident = Mat.identity(tower, s)
-    # [C | I] reduces to [R | C_piv**-1] when C has full row rank
-    aug = [[p.coeffs[0][r, c] for c in free] + list(ident.data[r])
-           for r in range(s)]
-    try:
-        pivots = _rref(aug, len(free))
-    except ZeroDivisor:
-        return None
-    if len(pivots) < s:
-        return None
-    inv = Mat(tuple(tuple(row[len(free):]) for row in aug))
-    return [free[k] for k in pivots], (None if inv == ident else inv)
+def _lists(op, r):
+    """Row r of op as per-column coefficient lists, low degree first,
+    without trailing zeros."""
+    out = [[c.data[r][k] for c in op.coeffs] for k in range(op.cols)]
+    for e in out:
+        while e and not e[-1]:
+            e.pop()
+    return out
 
 
-def graph_witness(p: OrePoly, block, g: OrePoly, bound=None):
-    """The Q with Q*p == g and deg Q <= bound, or None, by one right
-    division by the graph presentation p (block from graph_block).
+def _divide(row, cols, shift, owners):
+    """Cancel row's leading term (top shifted degree, first of cols to
+    reach it) by its column's owner while the owner's degree is no
+    larger; returns the last (degree, column) lead, None for a zero row."""
+    while True:
+        lead = max(((len(row[k]) + shift[k], k) for k in cols if row[k]),
+                   key=lambda t: t[0], default=None)
+        held = lead and owners.get(lead[1])
+        if not held or held[0] > lead[0]:
+            return lead
+        _cancel(row, held[1], lead[1])
 
-    On the graph columns Q*p is sum Q_i C^(q^i) tau^i, so Q_i =
-    g_i[:, cols] (C**-1)^(q^i) is the only candidate at any degree; it
-    is returned only when an independent composition reproduces g.
-    """
-    bound = _witness_bound(p, bound, g)
-    cols, inv = block
-    mats = []
-    for i, gi in enumerate(g.coeffs):
-        qi = Mat(tuple(tuple(row[c] for c in cols) for row in gi.data))
-        if inv is not None:
-            if i:
-                inv = inv.frob(1)
-            qi = qi @ inv
-        mats.append(qi)
-    q = OrePoly(p.tower, p.rows, p.rows, mats)
-    if q.degree > bound or q * p != g:
-        return None
-    return q
+
+def _cancel(row, src, col):
+    """row -= c tau^k src, cancelling row's last term c in col, src's
+    leading column, where src's last term is 1: that term is popped."""
+    k = len(row[col]) - len(src[col])
+    c = _shared_one(row[col].pop())
+    zero = c.zero()
+    for j, (dst, e) in enumerate(zip(row, src)):
+        top = len(e) - (j == col)
+        dst.extend([zero] * (top + k - len(dst)))
+        for i in range(top):
+            if e[i]:
+                dst[i + k] = dst[i + k] - c * e[i].frob(k)
+        while dst and not dst[-1]:
+            dst.pop()
+
+
+def _weak_popov(rows, cols, shift):
+    """Weak Popov form of rows over cols, in place (Mulders and Storjohann):
+    each nonzero row owns its lead's column, with lead 1 (ZeroDivisor if
+    not a unit).  Returns {column: (degree, row)} and the vanished rows."""
+    owners, vanished = {}, []
+    todo = rows[::-1]
+    while todo:
+        row = todo.pop()
+        lead = _divide(row, cols, shift, owners)
+        if lead is None:
+            vanished.append(row)
+            continue
+        lc = _shared_one(row[lead[1]][-1])
+        inv = lc if lc is lc.one() else lc.inverse()
+        for e in row:  # a product with the shared one is its other operand
+            e[:] = [_shared_one(inv * x) if x else x for x in e]
+        held = owners.get(lead[1])
+        owners[lead[1]] = (lead[0], row)
+        if held:
+            todo.append(held[1])
+    # cancel owners' terms in each other's columns, right to left, below
+    # the leads; leads are kept, and a constant block C leaves C**-1 * p
+    for k in sorted(owners, reverse=True):
+        src = owners[k][1]
+        for _, row in owners.values():
+            while row is not src and len(row[k]) >= len(src[k]):
+                _cancel(row, src, k)
+    return owners, vanished

@@ -10,22 +10,19 @@ tangent vector at the origin that the differential moves out of the
 tangent space.  When neither a witness nor an obstruction is found the
 outcome is an honest "no witness up to the searched degree".
 
-A graph presentation, one with an invertible constant block on columns
-free of tau-terms, has at most one witness, read off P * phi(a) by one
-right division; there the default bound leaves no witness unsearched.
-Other presentations search by an exact linear system.
+One right division (ore.left_multiple_witness) decides every
+presentation: it finds a witness of least degree whenever one exists,
+and the degree bound only caps the witness accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import BadParameter, FieldMismatch, ShapeMismatch
 from .fields import Poly
 from .linalg import Mat, kernel_basis
-from .ore import (OrePoly, _witness_bound, graph_block, graph_witness,
-                  left_multiple_witness)
+from .ore import OrePoly, _witness_bound, left_multiple_witness
 from .tmodule import TModule
 
 
@@ -75,13 +72,6 @@ class KernelSubgroup:
         self.module = module
         self.presentation = presentation
 
-    @cached_property
-    def graph(self):
-        """(columns, inverse) of the invertible constant block of a graph
-        presentation, or None (see ore.graph_block), formed on first use."""
-        p = self.presentation
-        return graph_block(p) if p.rows else None
-
     @classmethod
     def full(cls, module: TModule) -> "KernelSubgroup":
         return cls(module, OrePoly.zero(module.tower, 0, module.dimension))
@@ -119,7 +109,7 @@ class KernelSubgroup:
             return None
         dp = self.presentation.coeff(0)
         basis = kernel_basis(self.module.tower, dp)
-        if not basis:
+        if not basis or dp.is_zero():  # a zero dp moves no vector out
             return None
         # the s x m block dp * a(a_0); the m x m differential is not formed
         block = self.module.differential(a, dp)
@@ -143,15 +133,13 @@ class KernelSubgroup:
         """Decide stability under the action of a, as far as possible.
 
         Returns Stable with a re-verified witness, ProvablyUnstable with
-        one of the sound obstructions, or NoWitnessUpTo after an
-        inconclusive bounded witness search (one right division for a
-        graph presentation).
+        one of the sound obstructions, or NoWitnessUpTo when no witness
+        has degree at most the bound.
         """
         p = self.presentation
         _witness_bound(p, witness_bound)  # refused before any work
-        tower = self.module.tower
         if p.rows == 0:
-            return Stable(OrePoly.zero(tower, 0, 0))
+            return Stable(OrePoly.zero(self.module.tower, 0, 0))
         esc = self._tangent_escape(a)
         if esc is not None:
             return ProvablyUnstable("tangent-escape", vector=esc)
@@ -162,10 +150,7 @@ class KernelSubgroup:
             if _col_is_zero(p, c) and not _col_is_zero(g, c):
                 return ProvablyUnstable("escaping-axis", column=c)
         bound = _witness_bound(p, witness_bound, g)
-        if self.graph is not None:
-            q = graph_witness(p, self.graph, g, bound)
-        else:
-            q = left_multiple_witness(p, g, bound)
+        q = left_multiple_witness(p, g, bound)
         return NoWitnessUpTo(bound) if q is None else Stable(q)
 
     def __repr__(self):

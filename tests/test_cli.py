@@ -123,6 +123,20 @@ def test_torsion_flag_validation(capsys):
     assert "exactly one" in err
 
 
+EDGE = os.path.join(REPO, "tests", "golden", "manifests", "edge.tml")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--point", "Bound", "--module", "C2"],
+     "point 'Bound' is declared on module 'C1'"),
+    (["--point", "Loose"], "point is not bound to a module; pass --module"),
+])
+def test_torsion_point_module_errors(capsys, argv, message):
+    code, out, err = _run(capsys, "torsion", "--manifest", EDGE, *argv,
+                          "--poly", "T")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_module_is_usage_error(capsys):
     code, _, err = _run(capsys, "act", "--module", "Missing", "--poly", "T")
     assert code == 2

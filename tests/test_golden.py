@@ -4,9 +4,10 @@ Each case runs tml.cli.main in-process and compares its stdout and exit
 code with tests/golden/<case>.out and the "exit" entry of
 tests/golden/exits.json.  The cases cover the two packaged manifests and
 the small manifests in tests/golden/manifests over F_3, F_9, F_4 with
-U^2 = T, F_5 with V^2 = T and F_343, graph subgroups over F_3 and two
-nonabelian modules over F_3, and the zero polynomial acting and as a
-witness.  After a deliberate output change, rewrite the files with
+U^2 = T, F_5 with V^2 = T and F_343, graph subgroups over F_3, two
+nonabelian modules over F_3, an invalid module and points that torsion
+refuses over F_2, and the zero polynomial acting and as a witness.
+After a deliberate output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -52,6 +53,13 @@ _CROSS = {
         "minimal-j": ["minimal-j", "--subgroup", "Axis"],
         "exp": ["exp", "--module", "Cten2", "--order", "2"],
         "torsion": ["torsion", "--point", "Q", "--bound", "3"],
+        # a point that is not annihilated prints its image, and the
+        # restriction of exp fails on an axis and is unchecked on a line
+        "torsion-image": ["torsion", "--point", "Q", "--poly", "t"],
+        "exp-fails": ["exp", "--module", "Cten2", "--order", "1",
+                      "--subgroup", "Second"],
+        "exp-unchecked": ["exp", "--module", "Pair", "--order", "1",
+                          "--subgroup", "Diag"],
     },
     "f9": {
         "act": ["act", "--module", "C1", "--poly", "tg"],
@@ -110,6 +118,17 @@ _CROSS["f3g"] = {
 _CROSS["nonab"] = {
     f"{cmd}-{name.lower()}": [cmd, "--module", name]
     for cmd in ("abelian-scan", "rank") for name in ("Corner", "Chain")
+}
+
+
+# an invalid module's problems, and the two torsion usage errors, which
+# print nothing on stdout: a point declared on another module and a
+# point bound to no module without --module
+_CROSS["edge"] = {
+    "validate-bad": ["validate", "--module", "Bad"],
+    "torsion-other-module": ["torsion", "--point", "Bound", "--module", "C2",
+                             "--poly", "T"],
+    "torsion-unbound": ["torsion", "--point", "Loose", "--poly", "T"],
 }
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from importlib import resources
 
+from tml.cli import main
 from tml.errors import ParseError
 from tml.fields import FiniteField, Poly
 from tml.linalg import Mat
@@ -424,3 +425,37 @@ def test_manifest_file_reads_with_universal_newlines(tmp_path, newline):
     path.write_bytes(b'{"field": {"p": 2},' + newline.encode() + b' "x": ]}')
     with pytest.raises(ParseError, match=r"\(line 2, col 7\)"):
         load_manifest(path)
+
+
+# -- every remaining manifest error, through the command line -------------
+
+_F2 = "[field]\np = 2\n\n"
+_C = "[module C]\nm = 1\na0 = T\na1 = 1\n\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[field F]\np = 2\n", "[field] takes no name (line 1, col 1)"),
+    (_F2 + "[module]\nm = 1\n", "[module] needs a name (line 4, col 1)"),
+    ('{"field": {"p": [2]}}\n', "field.p must be a string"),
+    ("[field]\np = 2\np = 3\n", "duplicate key 'p' (line 3, col 5)"),
+    (_C, "no [field] section"),
+    ("[field]\np = 2\nq = 3\n", "unknown key 'q' in [field] (line 3, col 1)"),
+    (_F2 + "[field]\np = 3\n", "duplicate [field] section (line 4, col 1)"),
+    (_F2 + "[tower]\nU = 1, 0, 2\n",
+     "defining polynomial must be monic (line 5, col 5)"),
+    (_F2 + "[module C]\nm = 1\na1 = 1\n",
+     "[module C] is missing a0 (line 4, col 1)"),
+    (_F2 + _C + "[subgroup S]\nmodule = C\nrow = [0]\n",
+     "zero presentation; use zero rows for the full module (line 9, col 1)"),
+    (_F2 + _C + "[point P]\nmodule = C\ncoords = T, 1\n",
+     "point has wrong number of coordinates (line 9, col 1)"),
+], ids=["field-named", "module-unnamed", "json-not-a-string", "duplicate-key",
+        "no-field", "field-key", "duplicate-field", "tower-not-monic",
+        "no-a0", "zero-subgroup", "point-length"])
+def test_manifest_errors_exit_2_with_their_position(tmp_path, capsys, text,
+                                                     message):
+    path = tmp_path / "bad.tml"
+    path.write_text(text, encoding="utf-8")
+    code = main(["validate", "--manifest", str(path), "--module", "C"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"parse error: {message}\n")

@@ -154,17 +154,19 @@ def test_ore_constructors(tower2):
 
 
 def test_witness_recheck_survives_optimized_mode():
-    # corrupt the solved witness system; under -O the re-expansion
+    # corrupt the division's quotient; under -O the re-expansion
     # q * p == g must still refuse it
     script = textwrap.dedent("""
         from tml import ore
         from tml.errors import CertificateError
         from tml.fields import FieldTower, FiniteField
-        solve = ore.gauss_solve
-        def corrupt(tower, rows, rhs):
-            sol = solve(tower, rows, rhs)
-            return [sol[0] + tower.one()] + sol[1:]
-        ore.gauss_solve = corrupt
+        divide = ore._divide
+        def corrupt(row, cols, shift, owners):
+            lead = divide(row, cols, shift, owners)
+            if lead is None:  # a row of g divided: add 1 to its quotient
+                row[-1][0] = row[-1][0] + row[-1][0].one()
+            return lead
+        ore._divide = corrupt
         tower = FieldTower(FiniteField(2))
         p = ore.OrePoly.scalar(tower, (tower.T(), tower.one()))
         try:
@@ -260,7 +262,7 @@ def test_sums_of_different_degrees_build_no_zero_matrix(tower3, rng,
                                     -long_[2], -long_[3]]
 
 
-# -- differential test of the witness system against the per-row builder ----
+# -- differential test of the division against a per-row witness system ---
 
 def _ref_witness(p, g, bound=None):
     """One dense system per row of Q, every coefficient of g read
@@ -367,7 +369,7 @@ def test_witness_system_matches_per_row_builder(shallow_tower, sparse_mat,
 
 def test_witness_system_matches_per_row_builder_in_a_quotient_ring(tower3):
     # U^2 = T^2 makes a quotient ring in which U - T is a zero divisor;
-    # the presentations of test_zero_divisor_block_is_left_to_the_search
+    # the presentations of test_zero_divisor_leading_coefficient_raises
     t = tower3.T()
     ring = tower3.extend("U", (tower3.zero() - t * t, tower3.zero(),
                                tower3.one()))
@@ -392,8 +394,8 @@ def test_witness_system_matches_per_row_builder_in_a_quotient_ring(tower3):
 def test_witness_search_past_the_target_degree_reads_no_padding(tower3,
                                                                sparse_mat,
                                                                monkeypatch):
-    # bound + deg p runs past deg g: degrees above deg g carry only zero
-    # targets, so no zero matrix and no coefficient past the end is read
+    # a bound past deg g: the division reads no zero matrix and no
+    # coefficient past the end of p or g
     rng = random.Random(3)
     tau, _, _, diag, _ = _non_graph_presentations(tower3)
     q = OrePoly(tower3, 2, 2, [sparse_mat(rng, tower3, 2, 2),

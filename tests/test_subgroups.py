@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from tml import fields, linalg, ore
 from tml.corpus import (axis_subgroup, base_field_tower, graph_modules,
                         tensor_square)
-from tml.fields import Poly
+from tml.fields import FieldTower, FiniteField, Poly
+from tml.errors import TmlError, ZeroDivisor
 from tml.linalg import Mat, gauss_solve, kernel_basis
-from tml import subgroups
-from tml.ore import OrePoly, graph_witness, left_multiple_witness
+from tml.ore import OrePoly, left_multiple_witness
 from tml.subgroups import (KernelSubgroup, NoWitnessUpTo, ProvablyUnstable,
                            Stable, minimal_j_scan)
 from tml.tmodule import TModule, carlitz, carlitz_tensor, product
@@ -150,8 +151,8 @@ def test_tangent_preserved_matches_verdicts(tower2):
 def _ref_witness(p, g, bound):
     """Q with Q*p == g and deg Q <= bound, or None: one equation per
     entry of each tau-degree of Q*p, with every twist formed directly
-    from p's entries.  Free unknowns are zero, and the reduced echelon
-    form is unique, so a solution is the one left_multiple_witness finds."""
+    from p's entries.  Free unknowns are zero; when the rows of p are
+    independent the witness is unique, so it is left_multiple_witness's."""
     tower, s, m = p.tower, p.rows, p.cols
     zero = tower.zero()
     rows = []
@@ -183,7 +184,7 @@ def _ref_differential(module, a):
     return acc
 
 
-def _ref_stability(sub, a):
+def _ref_stability(sub, a, bound=None):
     """The verdict as computed from the m x m action and differential."""
     module, p = sub.module, sub.presentation
     tower = module.tower
@@ -203,7 +204,7 @@ def _ref_stability(sub, a):
         if in_kernel and any(not m[r, c].is_zero() for m in g.coeffs
                              for r in range(g.rows)):
             return ProvablyUnstable("escaping-axis", column=c)
-    bound = max(g.degree, 0)
+    bound = max(g.degree, 0) if bound is None else bound
     q = _ref_witness(p, g, bound)
     return NoWitnessUpTo(bound) if q is None else Stable(q)
 
@@ -261,7 +262,7 @@ def test_pullbacks_and_verdicts_match_the_full_action(shallow_tower,
             assert sub.stability(a) == _ref_stability(sub, a)
 
 
-# -- graph presentations: one right division against the witness system --
+# -- graph presentations: the division against the witness system ---------
 
 def _graph_block_matrix(rng, tower, kind):
     """The constant block C of a graph presentation: the identity, a
@@ -335,13 +336,6 @@ def _graph_subgroups(rng, tower, kind):
     return subs
 
 
-def _search_only(sub):
-    """The same subgroup, decided by the witness system alone."""
-    ref = KernelSubgroup(sub.module, sub.presentation)
-    ref.graph = None
-    return ref
-
-
 @pytest.mark.parametrize("kind", ["one", "const", "nonconst", "block"])
 def test_graph_division_agrees_with_the_witness_system(shallow_tower, kind):
     tower = shallow_tower
@@ -351,62 +345,143 @@ def test_graph_division_agrees_with_the_witness_system(shallow_tower, kind):
     for _ in range(2):
         for sub in _graph_subgroups(rng, tower, kind):
             p = sub.presentation
-            assert sub.graph is not None
-            ref = _search_only(sub)
             for a in (_t_monomial(fq, 1),
                       Poly(fq, [rng.randrange(fq.q) for _ in range(2)] + [1])):
                 g = sub._pullback(a)
-                q = graph_witness(p, sub.graph, g)
-                assert q == left_multiple_witness(p, g)
+                q = left_multiple_witness(p, g)
+                assert q == _ref_witness(p, g, max(g.degree, 0))
                 bounds = [None]
                 if q is not None and q.degree > 0:
                     bounds.append(q.degree - 1)
                     stable += 1
                 for bound in bounds:
                     verdict = sub.stability(a, bound)
-                    assert verdict == ref.stability(a, bound)
+                    assert verdict == _ref_stability(sub, a, bound)
                     if bound is not None:
                         assert verdict == NoWitnessUpTo(bound)
     assert stable
+
+
+@pytest.mark.parametrize("kind", ["const", "nonconst", "block"])
+def test_graph_block_reduces_to_the_identity(shallow_tower, kind):
+    # the weak Popov form of a graph presentation C * (I | B) is (I | B),
+    # so its witness is read through C**-1 as one row operation per term
+    tower = shallow_tower
+    rng = random.Random(f"popov-{kind}-{tower.depth}-{tower.fq.q}")
+    for sub in _graph_subgroups(rng, tower, kind):
+        p = sub.presentation
+        shift = [p.degree + 1 if all(c[r, k].is_zero() for c in p.coeffs[1:]
+                                     for r in range(p.rows)) else 0
+                 for k in range(p.cols)]
+        owners, vanished = ore._weak_popov(
+            [ore._lists(p, r) for r in range(p.rows)], range(p.cols), shift)
+        assert not vanished and len(owners) == p.rows
+        for k, (_, row) in owners.items():
+            assert [row[j] for j in owners] == [
+                [tower.one()] if j == k else [] for j in owners]
 
 
 class _WitnessSystem(Exception):
     pass
 
 
-def test_graph_presentations_build_no_witness_system(tower2, monkeypatch):
+def test_stability_builds_no_witness_system(tower2, monkeypatch):
+    # the curve, the axis and [tau], [tau^2] over F_2(T)(U): every
+    # witness comes from the division, with no linear solve and no
+    # zero matrix
     module = counterexample_module(sqrt_tower(tower2))
-    graphs = (curve_of_squares(module), axis_subgroup(module))
+    o, z = module.tower.one(), module.tower.zero()
+    subs = (curve_of_squares(module), axis_subgroup(module),
+            KernelSubgroup.from_entries(module, [[(z, o), (z, z, o)]]))
     polys = [_t_monomial(tower2.fq, j) for j in (1, 2, 3)]
-    expected = [_search_only(sub).stability(a)
-                for sub in graphs for a in polys]
+    expected = [_ref_stability(sub, a) for sub in subs for a in polys]
 
     def refuse(*args):
         raise _WitnessSystem
-    monkeypatch.setattr(subgroups, "left_multiple_witness", refuse)
-    assert [sub.stability(a) for sub in graphs for a in polys] == expected
+    for owner in (linalg, fields):
+        monkeypatch.setattr(owner, "gauss_solve", refuse)
+    monkeypatch.setattr(Mat, "zeros", refuse)
+    assert [sub.stability(a) for sub in subs for a in polys] == expected
     assert {type(v) for v in expected} == {NoWitnessUpTo, Stable}
-    # [tau], [tau^2] has no tau-free column and still reaches the search
-    o, z = module.tower.one(), module.tower.zero()
-    twisted = KernelSubgroup.from_entries(module, [[(z, o), (z, z, o)]])
-    assert twisted.graph is None
-    with pytest.raises(_WitnessSystem):
-        twisted.stability(polys[0])
 
 
-def test_zero_divisor_block_is_left_to_the_search(tower3):
-    # U^2 = T^2 makes a quotient ring in which U - T is a zero divisor
+def _outcome(fn, *args):
+    """The result, or the class of the exception raised."""
+    try:
+        return fn(*args)
+    except TmlError as exc:
+        return type(exc)
+
+
+def test_zero_divisor_leading_coefficient_raises(tower3):
+    # U^2 = T^2 makes a quotient ring in which U - T is a zero divisor:
+    # as the leading coefficient of a row it refuses the division, as
+    # a pivot refuses the witness system; elsewhere both decide alike
     t = tower3.T()
     ring = tower3.extend("U", (tower3.zero() - t * t, tower3.zero(),
                                tower3.one()))
     o, z, zd = ring.one(), ring.zero(), ring.gen() - ring.T()
     module = product([carlitz(ring), carlitz(ring)])
     blocked = KernelSubgroup.from_entries(module, [[(zd,), (z, o)]])
-    assert blocked.graph is None
-    graphs = [KernelSubgroup.from_entries(module, [[(o,), (z, zd)]]),
-              KernelSubgroup.from_entries(module, [[(o,), (zd,)]])]
-    for sub in graphs:
-        assert sub.graph is not None
+    p = blocked.presentation
+    with pytest.raises(ZeroDivisor):
+        left_multiple_witness(p, p)
+    verdicts = set()
+    for entries in ([[(zd,), (z, o)]], [[(o,), (z, zd)]], [[(o,), (zd,)]]):
+        sub = KernelSubgroup.from_entries(module, entries)
         for j in (1, 2, 3):
             a = _t_monomial(tower3.fq, j)
-            assert sub.stability(a) == _search_only(sub).stability(a)
+            verdict = _outcome(sub.stability, a)
+            assert verdict == _outcome(_ref_stability, sub, a)
+            verdicts.add(verdict if isinstance(verdict, type)
+                         else type(verdict))
+    assert verdicts == {ZeroDivisor, NoWitnessUpTo}
+
+
+# -- dependent rows: the least-degree witness against the witness system ---
+
+@pytest.mark.parametrize("p,e,depth", [(2, 1, 0), (3, 1, 0), (2, 2, 0),
+                                       (2, 1, 1)],
+                         ids=["q2-depth0", "q3-depth0", "q4-depth0",
+                              "q2-depth1"])
+def test_dependent_rows_give_a_least_degree_witness(p, e, depth,
+                                                    sparse_mat):
+    # the last row is c tau^k times the first, or zero, so Q is unique
+    # only up to the left kernel of p: the division must still find a
+    # witness whenever the system does, of no larger degree
+    tower = FieldTower(FiniteField(p, e))
+    if depth:
+        tower = sqrt_tower(tower)
+    rng = random.Random(f"dependent-{p}-{e}-{depth}")
+    o, z = tower.one(), tower.zero()
+    found = 0
+    for _ in range(12):
+        s, m = rng.choice(((2, 1), (2, 2), (3, 2)))
+        deg = rng.randrange(2)
+        rows = [[OrePoly.scalar(tower, [_small_entry(rng, tower)
+                                        for _ in range(deg + 1)])
+                 for _ in range(m)] for _ in range(s - 1)]
+        k = rng.randrange(3)
+        c = rng.choice((z, o, _small_entry(rng, tower)))
+        twist = OrePoly.scalar(tower, (z,) * k + (c,))
+        rows.append([twist * x for x in rows[0]])
+        pres = OrePoly(tower, s, m, [
+            Mat(tuple(tuple(x.coeffs[i][0, 0] if i <= x.degree else z
+                            for x in row) for row in rows))
+            for i in range(deg + k + 1)])
+        if pres.is_zero():
+            continue
+        planted = OrePoly(tower, s, s, [sparse_mat(rng, tower, s, s)
+                                        for _ in range(rng.randrange(1, 3))])
+        absent = OrePoly(tower, s, m, [sparse_mat(rng, tower, s, m)])
+        for g in (planted * pres, absent):
+            for bound in (None, 0, 1, 2, 4):
+                ref = _ref_witness(pres, g, max(g.degree, 0)
+                                   if bound is None else bound)
+                q = left_multiple_witness(pres, g, bound)
+                assert (q is None) == (ref is None)
+                if q is not None:
+                    assert q * pres == g
+                    assert q.degree <= ref.degree
+                    found += 1
+    assert found
