@@ -1,13 +1,16 @@
 """Small exact linear algebra over a coefficient field object.
 
 The field argument only needs zero() and one(); elements need the ring
-operators plus inverse(), is_zero(), zero(), one() and _check(), the
-last raising FieldMismatch for an element of another field.  Matrices
+operators plus inverse(), frob(), is_zero(), zero(), one() and _check(),
+the last raising FieldMismatch for an element of another field.  Matrices
 are stored dense, but products and eliminations skip zero entries and
 hand every entry 1 on as the field's shared one(), whose products
 return the other operand: a product with a zero or unit operand is
-never formed.  Everything is exact over the rational-function towers
-used here.
+never formed.  One elimination, the weak Popov reduction of matrices
+of twisted polynomials, serves solve, inverse, rank and kernel (a
+constant matrix is its degree-0 case) as well as tml.ore's right
+division and witnesses.  Everything is exact over the rational-function
+towers used here.
 """
 
 from __future__ import annotations
@@ -108,9 +111,6 @@ class Mat:
             return self
         return self.map(lambda a: a if a.is_zero() else a.frob(i))
 
-    def transpose(self):
-        return Mat(tuple(zip(*self.data))) if self.data else Mat(())
-
     def is_zero(self):
         return all(a.is_zero() for row in self.data for a in row)
 
@@ -168,41 +168,80 @@ def _filled(cells, zero):
                  for row in cells)
 
 
-def _rref(rows, ncols):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    nr = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nr):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
+def _divide(row, cols, shift, owners):
+    """Cancel row's leading term (top shifted degree, first of cols to
+    reach it) by its column's owner while the owner's degree is no
+    larger; returns the last (degree, column) lead, None for a zero row."""
+    while True:
+        lead = max(((len(row[k]) + shift[k], k) for k in cols if row[k]),
+                   key=lambda t: t[0], default=None)
+        held = lead and owners.get(lead[1])
+        if not held or held[0] > lead[0]:
+            return lead
+        _cancel(row, held[1], lead[1])
+
+
+def _cancel(row, src, col):
+    """row -= c tau^k src, cancelling row's last term c in col, src's
+    leading column, where src's last term is 1: that term is popped."""
+    k = len(row[col]) - len(src[col])
+    c = _shared_one(row[col].pop())
+    zero = c.zero()
+    for j, (dst, e) in enumerate(zip(row, src)):
+        top = len(e) - (j == col)
+        dst.extend([zero] * (top + k - len(dst)))
+        for i in range(top):
+            if e[i]:
+                dst[i + k] = dst[i + k] - c * e[i].frob(k)
+        while dst and not dst[-1]:
+            dst.pop()
+
+
+def _weak_popov(rows, cols, shift):
+    """Weak Popov form of rows over cols, in place (Mulders and Storjohann).
+
+    A row is a list of per-column coefficient lists by tau-degree, low
+    first, without trailing zeros.  Each nonzero row owns its lead's
+    column, with lead 1 (ZeroDivisor if not a unit).  Returns {column:
+    (degree, row)} and the vanished rows.  On constant rows with shift 0
+    the owners are the pivots of the reduced row echelon form.
+    """
+    owners, vanished = {}, []
+    todo = rows[::-1]
+    while todo:
+        row = todo.pop()
+        lead = _divide(row, cols, shift, owners)
+        if lead is None:
+            vanished.append(row)
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r]
-        # columns left of c are zero in every row from r down
-        nz = [k for k in range(c, len(piv)) if not piv[k].is_zero()]
-        one = piv[c].one()
-        if piv[c] != one:
-            inv = piv[c].inverse()
-            for k in nz[1:]:
-                piv[k] = inv * piv[k]
-        # the pivot is the shared one, so eliminating by it forms no product
-        piv[c] = one
-        for i in range(nr):
-            row = rows[i]
-            if i != r and not row[c].is_zero():
-                f = row[c]
-                for k in nz:
-                    row[k] = row[k] - f * piv[k]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return pivots
+        col = row[lead[1]]
+        lc = _shared_one(col.pop())
+        inv = lc if lc is lc.one() else lc.inverse()
+        for e in row:  # a product with the shared one is its other operand
+            e[:] = [_shared_one(inv * x) if x else x for x in e]
+        col.append(lc.one())
+        held = owners.get(lead[1])
+        owners[lead[1]] = (lead[0], row)
+        if held:
+            todo.append(held[1])
+    # cancel owners' terms in each other's columns, right to left, below
+    # the leads; leads are kept, and a constant block C leaves C**-1 * p
+    for k in sorted(owners, reverse=True):
+        src = owners[k][1]
+        for _, row in owners.values():
+            while row is not src and len(row[k]) >= len(src[k]):
+                _cancel(row, src, k)
+    return owners, vanished
+
+
+def _echelon(rows, ncols):
+    """The reduced row echelon form of constant rows over their first
+    ncols columns: {pivot column: row} and the rows that vanish there,
+    each entry a list of one nonzero element or empty."""
+    owners, vanished = _weak_popov(
+        [[[e] if e else [] for e in row] for row in rows], range(ncols),
+        [0] * ncols)
+    return {c: row for c, (_, row) in owners.items()}, vanished
 
 
 def gauss_solve(field, a_rows, b):
@@ -212,24 +251,21 @@ def gauss_solve(field, a_rows, b):
     a_rows is a Mat or a list of row lists; b a vector.
     """
     if isinstance(a_rows, Mat):
-        a_rows = [list(r) for r in a_rows.data]
-    else:
-        a_rows = [list(r) for r in a_rows]
+        a_rows = a_rows.data
     n = len(a_rows)
     if n != len(b):
         raise ShapeMismatch("system row count mismatch")
     if n == 0:
         return []
     ncols = len(a_rows[0])
-    aug = [a_rows[i] + [b[i]] for i in range(n)]
-    pivots = _rref(aug, ncols)
-    for row in aug[len(pivots):]:
-        if not row[ncols].is_zero():
-            return None
-    z = field.zero()
-    sol = [z] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = aug[r][ncols]
+    pivots, vanished = _echelon([list(r) + [x] for r, x in zip(a_rows, b)],
+                                ncols)
+    if any(row[ncols] for row in vanished):
+        return None
+    sol = [field.zero()] * ncols
+    for c, row in pivots.items():
+        if row[ncols]:
+            sol[c] = row[ncols][0]
     return sol
 
 
@@ -241,34 +277,32 @@ def gauss_inverse(field, mat: Mat):
     if n == 0:
         return Mat(())
     ident = Mat.identity(field, n)
-    aug = [list(mat.data[i]) + list(ident.data[i]) for i in range(n)]
-    pivots = _rref(aug, n)
+    pivots, _ = _echelon([r + e for r, e in zip(mat.data, ident.data)], n)
     if len(pivots) < n:
         return None
-    return Mat(tuple(tuple(row[n:]) for row in aug))
+    z = field.zero()
+    return Mat(tuple(tuple(e[0] if e else z for e in pivots[c][n:])
+                     for c in range(n)))
 
 
 def matrix_rank(mat: Mat) -> int:
     """Rank, as the pivot count of the reduced row echelon form."""
-    return len(_rref([list(r) for r in mat.data], mat.cols))
+    return len(_echelon(mat.data, mat.cols)[0])
 
 
 def kernel_basis(field, mat: Mat):
     """Basis vectors of the right kernel, deterministic order."""
-    rows = [list(r) for r in mat.data]
     n = mat.cols
-    if not rows:
-        ident = Mat.identity(field, n)
-        return [list(r) for r in ident.data]
-    pivots = _rref(rows, n)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    pivots, _ = _echelon(mat.data, n)
     z, o = field.zero(), field.one()
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         vec = [z] * n
         vec[fc] = o
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
+        for pc, row in pivots.items():
+            if row[fc]:
+                vec[pc] = -row[fc][0]
         basis.append(vec)
     return basis

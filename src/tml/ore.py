@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
                      NonInvertibleLeading, ShapeMismatch)
-from .linalg import (Mat, _filled, _mul_into, _shared_one, _sparse_rows,
-                     gauss_inverse)
+from .linalg import (Mat, _divide, _filled, _mul_into, _shared_one,
+                     _sparse_rows, _weak_popov)
 
 
 class OrePoly:
@@ -251,8 +251,10 @@ class DivisionResult:
 def right_divide(f: OrePoly, g: OrePoly) -> DivisionResult:
     """Euclidean division f = q*g + r with deg r < deg g.
 
-    g must be square with an invertible leading coefficient matrix; the
-    quotient step inverts the twisted leading coefficient exactly.
+    g must be square with an invertible leading coefficient matrix, that
+    is, its weak Popov form owns every column at degree deg g.  Each row
+    of f divided by that form leaves a row of r, and, through the [x | y]
+    rows of left_multiple_witness, a row of q.
     """
     f._check(g)
     if g.rows != g.cols:
@@ -261,20 +263,15 @@ def right_divide(f: OrePoly, g: OrePoly) -> DivisionResult:
         raise ShapeMismatch("dividend and divisor shapes incompatible")
     if g.is_zero():
         raise ZeroDivisionError("twisted division by zero")
-    lead_inv = gauss_inverse(g.tower, g.leading())
-    if lead_inv is None:
+    s, shift = g.rows, [0] * g.rows
+    owners, _ = _weak_popov(_bordered(g, s, True), range(s), shift)
+    if len(owners) < s or any(d <= g.degree for d, _ in owners.values()):
         raise NonInvertibleLeading("divisor leading coefficient is singular")
-    quo = OrePoly.zero(f.tower, f.rows, g.cols)
-    rem = f
-    dg = g.degree
-    while not rem.is_zero() and rem.degree >= dg:
-        gap = rem.degree - dg
-        u = rem.leading() @ lead_inv.frob(gap)
-        step = OrePoly(f.tower, f.rows, g.rows,
-                       (Mat.zeros(f.tower, f.rows, g.rows),) * gap + (u,))
-        quo = quo + step
-        rem = rem - step * g
-    return DivisionResult(quo, rem)
+    rows = _bordered(f, s, False)
+    for row in rows:
+        _divide(row, range(s), shift, owners)
+    return DivisionResult(-_from_lists(f.tower, [r[s:] for r in rows], s),
+                          _from_lists(f.tower, [r[:s] for r in rows], s))
 
 
 def _witness_bound(p, bound, g=None):
@@ -311,10 +308,8 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     # each row is [x | y] with x = y*p for the rows of p, which start as
     # [p_r | e_r], and x - y*p = g_r for [g_r | 0]; left row operations
     # keep both, so a row of g divided to x = 0 leaves -y, a row of Q
-    owners, kernel = _weak_popov(
-        [_lists(p, r) + [[tower.one()] if k == r else [] for k in range(s)]
-         for r in range(s)], range(m), shift)
-    rows = [_lists(g, r) + [[] for _ in range(s)] for r in range(s)]
+    owners, kernel = _weak_popov(_bordered(p, s, True), range(m), shift)
+    rows = _bordered(g, s, False)
     if any(_divide(row, range(m), shift, owners) for row in rows):
         return None
     # the vanished rows of U*p span the left kernel of p; the remainder
@@ -323,82 +318,33 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     least, _ = _weak_popov(kernel, back, shift)
     for row in rows:
         _divide(row, back, shift, least)
-    deg = max((len(e) for row in rows for e in row), default=0) - 1
-    if deg > bound:
+    q = -_from_lists(tower, [row[m:] for row in rows], s)
+    if q.degree > bound:
         return None
-    q = OrePoly(tower, s, s, [
-        Mat(tuple(tuple(-e[i] if i < len(e) else tower.zero()
-                        for e in row[m:]) for row in rows))
-        for i in range(deg + 1)])
     if q * p != g:
         raise CertificateError("witness failed independent re-expansion")
     return q
 
 
-def _lists(op, r):
-    """Row r of op as per-column coefficient lists, low degree first,
-    without trailing zeros."""
-    out = [[c.data[r][k] for c in op.coeffs] for k in range(op.cols)]
-    for e in out:
-        while e and not e[-1]:
-            e.pop()
+def _bordered(op, s, eye):
+    """Each row of op as per-column coefficient lists, low degree first,
+    without trailing zeros, followed by s columns: e_r when eye is true,
+    else zero."""
+    one, out = op.tower.one(), []
+    for r in range(op.rows):
+        row = [[c.data[r][k] for c in op.coeffs] for k in range(op.cols)]
+        for e in row:
+            while e and not e[-1]:
+                e.pop()
+        out.append(row + [[one] if eye and k == r else [] for k in range(s)])
     return out
 
 
-def _divide(row, cols, shift, owners):
-    """Cancel row's leading term (top shifted degree, first of cols to
-    reach it) by its column's owner while the owner's degree is no
-    larger; returns the last (degree, column) lead, None for a zero row."""
-    while True:
-        lead = max(((len(row[k]) + shift[k], k) for k in cols if row[k]),
-                   key=lambda t: t[0], default=None)
-        held = lead and owners.get(lead[1])
-        if not held or held[0] > lead[0]:
-            return lead
-        _cancel(row, held[1], lead[1])
-
-
-def _cancel(row, src, col):
-    """row -= c tau^k src, cancelling row's last term c in col, src's
-    leading column, where src's last term is 1: that term is popped."""
-    k = len(row[col]) - len(src[col])
-    c = _shared_one(row[col].pop())
-    zero = c.zero()
-    for j, (dst, e) in enumerate(zip(row, src)):
-        top = len(e) - (j == col)
-        dst.extend([zero] * (top + k - len(dst)))
-        for i in range(top):
-            if e[i]:
-                dst[i + k] = dst[i + k] - c * e[i].frob(k)
-        while dst and not dst[-1]:
-            dst.pop()
-
-
-def _weak_popov(rows, cols, shift):
-    """Weak Popov form of rows over cols, in place (Mulders and Storjohann):
-    each nonzero row owns its lead's column, with lead 1 (ZeroDivisor if
-    not a unit).  Returns {column: (degree, row)} and the vanished rows."""
-    owners, vanished = {}, []
-    todo = rows[::-1]
-    while todo:
-        row = todo.pop()
-        lead = _divide(row, cols, shift, owners)
-        if lead is None:
-            vanished.append(row)
-            continue
-        lc = _shared_one(row[lead[1]][-1])
-        inv = lc if lc is lc.one() else lc.inverse()
-        for e in row:  # a product with the shared one is its other operand
-            e[:] = [_shared_one(inv * x) if x else x for x in e]
-        held = owners.get(lead[1])
-        owners[lead[1]] = (lead[0], row)
-        if held:
-            todo.append(held[1])
-    # cancel owners' terms in each other's columns, right to left, below
-    # the leads; leads are kept, and a constant block C leaves C**-1 * p
-    for k in sorted(owners, reverse=True):
-        src = owners[k][1]
-        for _, row in owners.values():
-            while row is not src and len(row[k]) >= len(src[k]):
-                _cancel(row, src, k)
-    return owners, vanished
+def _from_lists(tower, rows, cols):
+    """The OrePoly with cols columns whose rows are given as lists (see
+    _bordered); a coefficient past the end of a list is zero."""
+    zero = tower.zero()
+    return OrePoly(tower, len(rows), cols, [
+        Mat(tuple(tuple(e[i] if i < len(e) else zero for e in row)
+                  for row in rows))
+        for i in range(max((len(e) for row in rows for e in row), default=0))])

@@ -76,7 +76,7 @@ def test_matrix_and_composition_twist_by_qth_power():
     assert m.frob(1) == m.map(lambda e: e ** q)
     assert m.frob(2) == m.map(lambda e: e ** (q * q))
     # (tau^2)(B0 + B1 tau) = B0^(q^2) tau^2 + B1^(q^2) tau^3
-    b = OrePoly(tower, 2, 2, (m, m.transpose()))
+    b = OrePoly(tower, 2, 2, (m, Mat(((xs[3], xs[5]), (xs[4], xs[2])))))
     zero = Mat.zeros(tower, 2, 2)
     tau2 = OrePoly(tower, 2, 2, (zero, zero, Mat.identity(tower, 2)))
     twisted = tau2 * b

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from tml.errors import BadParameter, FieldMismatch, ShapeMismatch
+from tml.errors import (BadParameter, FieldMismatch, ShapeMismatch, TmlError,
+                        ZeroDivisor)
 from tml.fields import Poly, RatFunc
 from tml.linalg import (Mat, gauss_inverse, gauss_solve, kernel_basis,
                         matrix_rank)
@@ -256,6 +258,56 @@ def test_elimination_matches_dense_reference(any_tower, sparse_mat,
     assert matrix_rank(zeros) == 0
     assert gauss_inverse(any_tower, zeros) is None
     assert gauss_solve(any_tower, Mat(()), ()) == []
+
+
+def _outcome(fn, *args):
+    """The result, or the class of the library exception raised."""
+    try:
+        return fn(*args)
+    except TmlError as exc:
+        return type(exc)
+
+
+def test_elimination_in_a_quotient_ring_matches_the_reference(tower3):
+    # U^2 = T^2 makes a quotient ring in which U - T is a zero divisor,
+    # so an elimination raises ZeroDivisor when it takes it as a pivot.
+    # The reference pivots each column on the first remaining row with a
+    # nonzero entry there and swaps that row into place, moving the row
+    # it displaces below the others; the kernel pivots each row on its
+    # leftmost nonzero entry in turn.  They meet zero divisors alike on
+    # every matrix over {0, 1, U - T} of these shapes except
+    # [[0, a], [0, b], [1, c]] with {a, b} = {1, U - T}: the swap puts b
+    # ahead of a, and only the one met first raises.
+    t = tower3.T()
+    ring = tower3.extend("U", (tower3.zero() - t * t, tower3.zero(),
+                               tower3.one()))
+    z, o, zd = ring.zero(), ring.one(), ring.gen() - ring.T()
+    differ = {}
+    for m, n in ((2, 2), (3, 2), (2, 3)):
+        for cells in itertools.product((z, o, zd), repeat=m * n):
+            a = Mat(tuple(zip(*[iter(cells)] * n)))
+            b = tuple((o, zd, z)[r % 3] for r in range(m))
+            pairs = {
+                "solve": (_outcome(gauss_solve, ring, a, b),
+                          _outcome(_ref_solve, ring, a, b)),
+                "kernel": (_outcome(kernel_basis, ring, a),
+                           _outcome(_ref_kernel, ring, a)),
+                "rank": (_outcome(matrix_rank, a), _outcome(
+                    lambda: len(_ref_rref([list(r) for r in a.data], n))))}
+            if m == n:
+                pairs["inverse"] = (_outcome(gauss_inverse, ring, a),
+                                    _outcome(_ref_inverse, ring, a))
+            for name, (got, want) in pairs.items():
+                if got != want:
+                    differ[a.data, name] = (got, want)
+    # each differing outcome is ZeroDivisor on one side only: on the
+    # kernel's side where a = U - T
+    assert {key: got is ZeroDivisor for key, (got, _) in differ.items()} == {
+        (((z, a), (z, b), (o, c)), name): a is zd
+        for a, b in ((zd, o), (o, zd)) for c in (z, o, zd)
+        for name in ("solve", "kernel", "rank")}
+    assert all((got is ZeroDivisor) != (want is ZeroDivisor)
+               for got, want in differ.values())
 
 
 def test_products_across_towers_raise_with_zero_operands(tower2, tower3):

@@ -10,7 +10,7 @@ from tml.errors import (BadParameter, CertificateError, FieldMismatch,
                         NonInvertibleLeading, ShapeMismatch, TmlError,
                         ZeroDivisor)
 from tml.fields import FieldTower, FiniteField, Poly, RatFunc
-from tml.linalg import Mat, gauss_solve
+from tml.linalg import Mat, gauss_inverse, gauss_solve
 from tml.ore import OrePoly, left_multiple_witness, right_divide
 from tml.subgroups import KernelSubgroup
 from tml.tmodule import carlitz, product
@@ -260,6 +260,109 @@ def test_sums_of_different_degrees_build_no_zero_matrix(tower3, rng,
     assert (f + OrePoly.zero(tower3, 2, 2)) == f
     assert list((f - g).coeffs) == [short[0] - long_[0], short[1] - long_[1],
                                     -long_[2], -long_[3]]
+
+
+# -- differential test of right division against the inverted leading matrix -
+
+def _ref_right_divide(f, g):
+    """f = q*g + r by the inverse of g's leading matrix: each step adds
+    u tau^gap to q, padded below with zero matrices."""
+    f._check(g)
+    if g.rows != g.cols or f.cols != g.rows:
+        raise ShapeMismatch("division shapes")
+    if g.is_zero():
+        raise ZeroDivisionError("twisted division by zero")
+    lead_inv = gauss_inverse(g.tower, g.leading())
+    if lead_inv is None:
+        raise NonInvertibleLeading("divisor leading coefficient is singular")
+    quo = OrePoly.zero(f.tower, f.rows, g.cols)
+    rem = f
+    while not rem.is_zero() and rem.degree >= g.degree:
+        gap = rem.degree - g.degree
+        u = rem.leading() @ lead_inv.frob(gap)
+        step = OrePoly(f.tower, f.rows, g.rows,
+                       (Mat.zeros(f.tower, f.rows, g.rows),) * gap + (u,))
+        quo = quo + step
+        rem = rem - step * g
+    return quo, rem
+
+
+def _division_outcome(divide, f, g):
+    """(quotient, remainder), or the class of the exception raised."""
+    try:
+        res = divide(f, g)
+    except (TmlError, ZeroDivisionError) as exc:
+        return type(exc)
+    return res if isinstance(res, tuple) else (res.quotient, res.remainder)
+
+
+def _assert_division_matches_reference(tower, divisors, rng, sparse_mat):
+    """Divide 0-row, zero, lower-degree and random dividends by each
+    divisor, as right_divide and as the reference; returns the outcomes."""
+    seen = set()
+    for g in divisors:
+        s = g.rows
+        dividends = [OrePoly.zero(tower, 0, s), OrePoly.zero(tower, s, s),
+                     OrePoly.zero(tower, 1, s)]
+        for deg in range(max(g.degree, 0) + 3):
+            for rows in (s, 1):
+                dividends.append(OrePoly(tower, rows, s, [
+                    sparse_mat(rng, tower, rows, s) for _ in range(deg + 1)]))
+        for f in dividends:
+            want = _division_outcome(_ref_right_divide, f, g)
+            assert _division_outcome(right_divide, f, g) == want, (f, g)
+            seen.add(want if isinstance(want, type) else tuple)
+    return seen
+
+
+def _divisors(tower, rng, sparse_mat):
+    """Scalar and 2x2 divisors of degrees 0 to 2, random ones with sparse
+    coefficients, and 2x2 ones whose leading matrix is singular though
+    every row has full degree."""
+    o, z = tower.one(), tower.zero()
+    ident = Mat.identity(tower, 2)
+    out = [OrePoly.zero(tower, 2, 2), OrePoly.identity(tower, 2),
+           OrePoly(tower, 2, 2, (ident, Mat(((o, o), (o, o))))),
+           OrePoly(tower, 2, 2, (ident, Mat(((z, o), (z, tower.T()))))),
+           OrePoly(tower, 2, 2, (ident, Mat(((o, z), (z, z))), ident))]
+    for deg in range(3):
+        out.append(OrePoly(tower, 1, 1, [sparse_mat(rng, tower, 1, 1)
+                                         for _ in range(deg)]
+                           + [Mat(((tower.T() + o,),))]))
+        out.append(OrePoly(tower, 2, 2, [sparse_mat(rng, tower, 2, 2)
+                                         for _ in range(deg + 1)]))
+    return out
+
+
+def test_right_division_matches_the_inverted_leading_matrix(shallow_tower,
+                                                            sparse_mat):
+    tower = shallow_tower
+    rng = random.Random(f"divide-{tower.depth}-{tower.fq.q}")
+    seen = _assert_division_matches_reference(
+        tower, _divisors(tower, rng, sparse_mat), rng, sparse_mat)
+    assert {tuple, NonInvertibleLeading, ZeroDivisionError} <= seen
+
+
+def test_right_division_in_a_quotient_ring_matches_the_reference(tower3,
+                                                                 sparse_mat):
+    # U^2 = T^2: U - T is a zero divisor, so a leading matrix that needs
+    # it as a pivot raises ZeroDivisor on both sides
+    t = tower3.T()
+    ring = tower3.extend("U", (tower3.zero() - t * t, tower3.zero(),
+                               tower3.one()))
+    rng = random.Random("divide-quotient-ring")
+    o, z, zd = ring.one(), ring.zero(), ring.gen() - ring.T()
+    ident = Mat.identity(ring, 2)
+    divisors = _divisors(ring, rng, sparse_mat) + [
+        OrePoly.scalar(ring, (o, zd)), OrePoly.scalar(ring, (zd, o)),
+        OrePoly(ring, 2, 2, (ident, Mat(((zd, o), (o, z))))),
+        OrePoly(ring, 2, 2, (ident, Mat(((o, z), (zd, o))))),
+        OrePoly(ring, 2, 2, (Mat(((zd, z), (z, z))),
+                             Mat(((z, o), (o, z))))),
+        OrePoly(ring, 2, 2, (ident, Mat(((zd, z), (z, ring.gen() + ring.T())))))]
+    seen = _assert_division_matches_reference(ring, divisors, rng,
+                                              sparse_mat)
+    assert {tuple, NonInvertibleLeading, ZeroDivisor} <= seen
 
 
 # -- differential test of the division against a per-row witness system ---

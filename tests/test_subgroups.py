@@ -373,8 +373,8 @@ def test_graph_block_reduces_to_the_identity(shallow_tower, kind):
         shift = [p.degree + 1 if all(c[r, k].is_zero() for c in p.coeffs[1:]
                                      for r in range(p.rows)) else 0
                  for k in range(p.cols)]
-        owners, vanished = ore._weak_popov(
-            [ore._lists(p, r) for r in range(p.rows)], range(p.cols), shift)
+        owners, vanished = linalg._weak_popov(
+            ore._bordered(p, 0, False), range(p.cols), shift)
         assert not vanished and len(owners) == p.rows
         for k, (_, row) in owners.items():
             assert [row[j] for j in owners] == [

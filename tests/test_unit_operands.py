@@ -12,7 +12,7 @@ import pytest
 
 from tml.errors import FieldMismatch
 from tml.fields import FieldTower, FiniteField, Poly, RatFunc, TowerElement
-from tml.linalg import Mat, _rref, _sparse_rows
+from tml.linalg import Mat, _sparse_rows, _weak_popov
 from tml.ore import OrePoly
 from tml.subgroups import KernelSubgroup
 from tml.tmodule import carlitz_tensor
@@ -169,6 +169,6 @@ def test_sparse_rows_and_pivots_hand_on_the_shared_one(any_tower):
     assert one is not t.one()
     (row,) = _sparse_rows(((t.zero(), one, t.T()),))
     assert [c for c, _ in row] == [1, 2] and row[0][1] is t.one()
-    rows = [[one, t.T()], [t.T(), one]]
-    _rref(rows, 2)
-    assert rows[0][0] is t.one()
+    rows = [[[one], [t.T()]], [[t.T()], [one]]]
+    owners, _ = _weak_popov(rows, range(2), [0, 0])
+    assert owners[0][1] is rows[0] and rows[0][0][0] is t.one()
