@@ -10,14 +10,32 @@ Sylvester-type matrix equation per order,
 where ^(j) is the entrywise q^j power.  The operator on the left is
 invertible for i >= 1 because a_0 and its twist share no eigenvalue, so
 the coefficients are solved exactly order by order.
+
+verify_functional_equation re-checks a series without the solver and
+without reducing a fraction.  It requires E_0 = I, the normalisation
+that makes e unique: the equation is linear in E and every twist fixes
+F_q, so 0 and c*E satisfy it too.  Each entry of both sides,
+E_i a_0^(i) and sum_{j=0..min(i,d)} A_j E_{i-j}^(j), is an unreduced
+fraction X / prod(D), where D is a tuple of polynomials in F_q[T] and
+X is a tower element whose flat coordinates over F_q(T) are all
+polynomials (at depth 0, that one polynomial).  A product multiplies
+numerators and joins the tuples; a twist twists X and stretches each
+factor of D, which is central; a sum brings both terms over the
+multiset union of their factors, so terms that share a denominator
+are added as they are.  The sides X / prod(D) and Y / prod(E) are
+compared as X prod(E - D) == Y prod(D - E).  This takes
+multiplications only: at depth 0, and on towers whose moduli have
+polynomial coefficients, no gcd is formed and nothing is divided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 from .errors import BadParameter, SingularSystem
+from .fields import Poly, RatFunc, TowerElement
 from .linalg import Mat, gauss_solve
 from .subgroups import KernelSubgroup
 from .tmodule import TModule
@@ -72,20 +90,138 @@ def exp_series(module: TModule, order: int) -> ExpSeries:
     return ExpSeries(module, order, tuple(coeffs))
 
 
-def verify_functional_equation(exp: ExpSeries) -> bool:
-    """Compare the coefficients of z^(q^i) on both sides of
-    e(a_0 z) = phi(T)(e(z)) through the series order by direct matrix
-    products, E_i a_0^(i) == sum_{j=0..min(i,d)} A_j E_{i-j}^(j),
-    without solving anything; terms beyond the order are never formed."""
+def _fraction(x):
+    """x as an unreduced fraction (X, D), x = X / prod(D), where D is the
+    tuple of x's distinct coordinate denominators other than 1.  At depth
+    0, X is x's numerator, a Poly; above it, X is a tower element whose
+    coordinates are each that coordinate's numerator times the other
+    factors of D."""
+    t = x.tower
+    if t.parent is None:
+        rf = x.data
+        return rf.num, () if rf.is_poly() else (rf.den,)
+    coords = t.flatten(x)
+    dens = tuple({c.den: None for c in coords if not c.is_poly()})
+    if not dens:
+        return x, dens
+    return t.unflatten([RatFunc.from_poly(_scaled(c.num,
+                                                  _missing((c.den,), dens)))
+                        for c in coords]), dens
+
+
+def _missing(have, need):
+    """The factors of need that remain once each factor of have has
+    matched at most one equal factor: the multiset difference need - have."""
+    if not need or not have:
+        return need
+    rest = list(have)
+    out = []
+    for d in need:
+        if d in rest:
+            rest.remove(d)
+        else:
+            out.append(d)
+    return out
+
+
+def _scaled(x, factors):
+    """The numerator x, a Poly or a tower element, times every polynomial
+    in factors."""
+    if isinstance(x, TowerElement) and factors:
+        t = x.tower
+        f = RatFunc.from_poly(_scaled(Poly.one(t.fq), factors))
+        return t.unflatten([c * f for c in t.flatten(x)])
+    for d in factors:
+        x = x * d
+    return x
+
+
+def _add(f, g):
+    """f + g over the multiset union of their denominators."""
+    (x, a), (y, b) = f, g
+    if x.is_zero():
+        return g
+    if y.is_zero():
+        return f
+    extra = _missing(a, b)
+    return _scaled(x, extra) + _scaled(y, _missing(b, a)), a + tuple(extra)
+
+
+def _terms(left, right, r, c):
+    """The nonzero products summed in entry (r, c) of left @ right, on
+    matrices of unreduced fractions with None for a zero entry."""
+    return [(a[0] * b[0], a[1] + b[1])
+            for a, b in zip(left[r], (row[c] for row in right))
+            if a is not None and b is not None]
+
+
+def _fractions(mat):
+    """The entries of mat as unreduced fractions, None for a zero."""
+    return [[None if a.is_zero() else _fraction(a) for a in row]
+            for row in mat.data]
+
+
+def _twisted(fracs, j, q):
+    """The entrywise q^j power of a matrix of unreduced fractions."""
+    if j == 0:
+        return fracs
+    k = q ** j
+    return [[None if f is None else
+             (f[0].stretch(k) if isinstance(f[0], Poly) else f[0].frob(j),
+              tuple(d.stretch(k) for d in f[1]))
+             for f in row] for row in fracs]
+
+
+def _check_shape(exp: ExpSeries):
+    """BadParameter unless exp holds order + 1 coefficients, each an
+    m x m matrix over the module's tower."""
     module = exp.module
-    phi = module.phi_t
-    for i in range(exp.order + 1):
-        lhs = exp.coeffs[i] @ module.a0.frob(i)
-        rhs = phi.coeff(0) @ exp.coeffs[i]
-        for j in range(1, min(i, module.degree) + 1):
-            rhs = rhs + phi.coeff(j) @ exp.coeffs[i - j].frob(j)
-        if lhs != rhs:
-            return False
+    m = module.dimension
+    if (not isinstance(exp.order, int) or exp.order < 0
+            or len(exp.coeffs) != exp.order + 1):
+        raise BadParameter(f"an exponential series of order {exp.order} "
+                           f"needs order + 1 coefficients, "
+                           f"got {len(exp.coeffs)}")
+    for i, e in enumerate(exp.coeffs):
+        if not isinstance(e, Mat) or e.rows != m or e.cols != m:
+            raise BadParameter(f"exponential coefficient E_{i} is not a "
+                               f"{m}x{m} matrix")
+        for row in e.data:
+            for a in row:
+                if not isinstance(a, TowerElement) or a.tower != module.tower:
+                    raise BadParameter(f"exponential coefficient E_{i} has "
+                                       "an entry outside the module's tower")
+
+
+def verify_functional_equation(exp: ExpSeries) -> bool:
+    """Whether E_0 = I and the coefficients of z^(q^i) agree on both sides
+    of e(a_0 z) = phi(T)(e(z)) through the series order,
+    E_i a_0^(i) == sum_{j=0..min(i,d)} A_j E_{i-j}^(j), each entry
+    compared as unreduced fractions cross-multiplied (see the module
+    docstring); nothing is solved, divided or reduced, and terms beyond
+    the order are never formed.  A malformed series raises BadParameter."""
+    _check_shape(exp)
+    module = exp.module
+    tower, m = module.tower, module.dimension
+    if exp.coeffs[0] != Mat.identity(tower, m):
+        return False
+    q = tower.fq.q
+    zero = (Poly.zero(tower.fq) if tower.parent is None else tower.zero(),
+            ())
+    coeffs = [_fractions(e) for e in exp.coeffs]
+    phi = [_fractions(module.phi_t.coeff(j))
+           for j in range(module.degree + 1)]
+    for i in range(1, exp.order + 1):
+        a0i = _twisted(phi[0], i, q)
+        rhs = [(phi[j], _twisted(coeffs[i - j], j, q))
+               for j in range(min(i, module.degree) + 1)]
+        for r in range(m):
+            for c in range(m):
+                x, a = reduce(_add, _terms(coeffs[i], a0i, r, c), zero)
+                y, b = reduce(_add, [f for aj, ej in rhs
+                                     for f in _terms(aj, ej, r, c)], zero)
+                if _scaled(x, _missing(a, b)) != _scaled(y, _missing(b, a)):
+                    return False
     return True
 
 
