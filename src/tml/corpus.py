@@ -143,13 +143,8 @@ def squared_variable_module(tower: FieldTower):
     action = c2.act(Poly(fq, (0, 0, 1)))
     ext = sqrt_tower(tower)
     u = ext.gen()
-    m = c2.dimension
-    mats = []
-    for i in range(action.degree + 1):
-        src = action.coeff(i)
-        mats.append(Mat(tuple(tuple(ratfunc_substitute(src[r, c].data, u)
-                                    for c in range(m)) for r in range(m))))
-    return ext, TModule(ext, mats)
+    return ext, TModule(ext, [c.map(lambda x: ratfunc_substitute(x.data, u))
+                              for c in action.coeffs])
 
 
 # -- checks -----------------------------------------------------------------
@@ -301,11 +296,10 @@ def check_generator_counts():
              "expected 2")
     # the second coordinate axis is preserved with zero first coordinate,
     # and the restricted action is the rank-one T + tau
-    for i in range(psi.degree + 1):
-        _require(psi.phi_t.coeff(i)[0, 1].is_zero(),
-                 "axis is not invariant under the re-read action")
-    restricted = TModule(ext, tuple(Mat(((psi.phi_t.coeff(i)[1, 1],),))
-                                    for i in range(psi.degree + 1)))
+    _require(not psi.phi_t.entries[0][1],
+             "axis is not invariant under the re-read action")
+    restricted = TModule(ext, OrePoly.scalar(ext, psi.phi_t.entries[1][1])
+                         .coeffs)
     _require(restricted.phi_t == carlitz(ext).phi_t,
              "axis restriction is not the rank-one T + tau action")
     axis_count = rank_report(restricted)

@@ -64,7 +64,7 @@ def exp_series(module: TModule, order: int) -> ExpSeries:
     for i in range(1, order + 1):
         rhs = Mat.zeros(tower, m, m)
         for j in range(1, min(i, module.degree) + 1):
-            aj = module.phi_t.coeff(j)
+            aj = module.matrices[j]
             if not aj.is_zero():
                 rhs = rhs + (aj @ coeffs[i - j].frob(j))
         ai = a0.frob(i)
@@ -209,8 +209,7 @@ def verify_functional_equation(exp: ExpSeries) -> bool:
     zero = (Poly.zero(tower.fq) if tower.parent is None else tower.zero(),
             ())
     coeffs = [_fractions(e) for e in exp.coeffs]
-    phi = [_fractions(module.phi_t.coeff(j))
-           for j in range(module.degree + 1)]
+    phi = [_fractions(a) for a in module.matrices]
     for i in range(1, exp.order + 1):
         a0i = _twisted(phi[0], i, q)
         rhs = [(phi[j], _twisted(coeffs[i - j], j, q))

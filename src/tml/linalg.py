@@ -4,13 +4,13 @@ The field argument only needs zero() and one(); elements need the ring
 operators plus inverse(), frob(), is_zero(), zero(), one() and _check(),
 the last raising FieldMismatch for an element of another field.  Matrices
 are stored dense, but products and eliminations skip zero entries and
-hand every entry 1 on as the field's shared one(), whose products
-return the other operand: a product with a zero or unit operand is
-never formed.  One elimination, the weak Popov reduction of matrices
-of twisted polynomials, serves solve, inverse, rank and kernel (a
-constant matrix is its degree-0 case) as well as tml.ore's right
-division and witnesses.  Everything is exact over the rational-function
-towers used here.
+hand every entry 1 on as the field's shared one(): a product with a zero
+or unit operand is never formed.  One elimination, the weak Popov
+reduction of matrices of twisted polynomials, serves solve, inverse,
+rank and kernel (a constant matrix is its degree-0 case) as well as
+tml.ore's right division and witnesses.  Its rows are per-column
+coefficient lists, the form in which tml.ore stores twisted polynomials.
+Everything is exact over the rational-function towers used here.
 """
 
 from __future__ import annotations

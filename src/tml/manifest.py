@@ -600,16 +600,11 @@ def manifest_to_text(manifest: Manifest) -> str:
     for name, sub in manifest.subgroups.items():
         out += ["", f"[subgroup {name}]",
                 f"module = {_module_name(manifest, sub.module)}"]
-        p = sub.presentation
-        for r in range(p.rows):
-            groups = []
-            for c in range(p.cols):
-                coeffs = [p.coeff(i)[r, c] for i in range(p.degree + 1)]
-                while len(coeffs) > 1 and coeffs[-1].is_zero():
-                    coeffs.pop()
-                groups.append("[" + ", ".join(x.to_expr() for x in coeffs)
-                              + "]")
-            out.append("row = " + ", ".join(groups))
+        zero = sub.module.tower.zero()
+        for row in sub.presentation.entries:
+            out.append("row = " + ", ".join(
+                "[" + ", ".join(x.to_expr() for x in e or (zero,)) + "]"
+                for e in row))
     for name, coords in manifest.points.items():
         out += ["", f"[point {name}]"]
         mod_name = manifest.point_modules.get(name)

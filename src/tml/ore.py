@@ -7,93 +7,120 @@ the coefficient to the q-th power, so composition obeys
 
 Composition is written left-to-right as operator application: (f * g)
 acts by applying g first.  A scalar twisted polynomial is the 1x1 case.
-Whether g is a left multiple Q * p, at any degree, is decided by one
-right division by the weak Popov form of p (see left_multiple_witness).
+An OrePoly is stored as its entries: entries[r][c] is the tuple of the
+(r, c) entry's coefficients by tau-degree, low first, without trailing
+zeros, each 0 and 1 the tower's shared zero() and one().  Arithmetic,
+evaluation and the weak Popov division read that form; coefficient
+matrices (coeffs, coeff, leading) are built on read.  Whether g is a
+left multiple Q * p, at any degree, is decided by one right division by
+the weak Popov form of p (see left_multiple_witness).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
                      NonInvertibleLeading, ShapeMismatch)
-from .linalg import (Mat, _divide, _filled, _mul_into, _shared_one,
-                     _sparse_rows, _weak_popov)
+from .linalg import Mat, _divide, _weak_popov
 
 
 class OrePoly:
-    """Matrix twisted polynomial: a tuple of coefficient matrices by tau-degree."""
+    """Matrix twisted polynomial: per-entry coefficient tuples (see the
+    module docstring) and the tau-degree, -1 for zero."""
 
-    __slots__ = ("tower", "rows", "cols", "coeffs")
+    __slots__ = ("tower", "rows", "cols", "entries", "degree")
 
     def __init__(self, tower, rows, cols, coeffs):
+        """The twisted polynomial with coefficient matrices coeffs."""
         coeffs = tuple(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
         for m in coeffs:
             if m.rows != rows or m.cols != cols:
                 raise ShapeMismatch("coefficient matrix with wrong shape")
-        self.tower = tower
-        self.rows = rows
-        self.cols = cols
-        self.coeffs = coeffs
+        self._store(tower, cols, [[[m.data[r][c] for m in coeffs]
+                                   for c in range(cols)] for r in range(rows)])
+
+    def _store(self, tower, cols, rows):
+        """Store rows of per-entry coefficient lists (see _entry)."""
+        zero, one = tower.zero(), tower.one()
+        self.tower, self.rows, self.cols = tower, len(rows), cols
+        self.entries = tuple([tuple([_entry(e, zero, one) if e else ()
+                                     for e in row]) for row in rows])
+        self.degree = max(map(len, chain(*self.entries)), default=0) - 1
+
+    @classmethod
+    def _of(cls, tower, cols, rows):
+        """The OrePoly with cols columns whose rows are coefficient lists."""
+        op = cls.__new__(cls)
+        op._store(tower, cols, rows)
+        return op
 
     @classmethod
     def zero(cls, tower, rows, cols):
-        return cls(tower, rows, cols, ())
+        return cls._of(tower, cols, [[()] * cols] * rows)
 
     @classmethod
     def identity(cls, tower, n):
-        return cls(tower, n, n, (Mat.identity(tower, n),))
+        return cls._of(tower, n, [[(tower.one(),) if r == c else ()
+                                   for c in range(n)] for r in range(n)])
 
     @classmethod
     def scalar(cls, tower, elems):
         """A 1x1 twisted polynomial from a list of tower elements."""
-        return cls(tower, 1, 1, tuple(Mat(((e,),)) for e in elems))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return cls._of(tower, 1, [[elems]])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     def coeff(self, i: int) -> Mat:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Mat.zeros(self.tower, self.rows, self.cols)
+        """The coefficient matrix at tau-degree i, zero outside the degree."""
+        z = self.tower.zero()
+        return Mat(tuple(tuple(e[i] if 0 <= i < len(e) else z for e in row)
+                         for row in self.entries))
+
+    @property
+    def coeffs(self):
+        """The coefficient matrices by tau-degree, up to the degree."""
+        return tuple(map(self.coeff, range(self.degree + 1)))
 
     def leading(self) -> Mat:
-        if not self.coeffs:
+        if self.degree < 0:
             raise ValueError("zero twisted polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def scalar_elems(self):
         """Coefficients as tower elements; only for the 1x1 case."""
         if self.rows != 1 or self.cols != 1:
             raise ShapeMismatch("not a scalar twisted polynomial")
-        return tuple(m[0, 0] for m in self.coeffs)
+        return self.entries[0][0]
 
     def _check(self, other):
         if self.tower != other.tower:
             raise FieldMismatch("twisted polynomials over different towers")
 
     def __add__(self, other):
+        """The sum; only coefficients that both entries have are added."""
         self._check(other)
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("adding twisted polynomials of different shapes")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return OrePoly(self.tower, self.rows, self.cols,
-                       tuple([x + y for x, y in zip(a, b)]) + a[len(b):])
+        zero = self.tower.zero()
+        return OrePoly._of(self.tower, self.cols, [
+            [_plus(a, b, zero) for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return OrePoly(self.tower, self.rows, self.cols,
-                       tuple(-m for m in self.coeffs))
+        return self._map(lambda v: -v)
 
     def __sub__(self, other):
         return self + (-other)
+
+    def _map(self, fn):
+        """fn applied to every nonzero coefficient."""
+        zero = self.tower.zero()
+        return OrePoly._of(self.tower, self.cols, [
+            [[v if v is zero else fn(v) for v in e] for e in row]
+            for row in self.entries])
 
     def __mul__(self, other):
         """Composition with the twist rule; self acts after other."""
@@ -102,49 +129,35 @@ class OrePoly:
             raise ShapeMismatch("composition shape mismatch")
         if self.is_zero() or other.is_zero():
             return OrePoly.zero(self.tower, self.rows, other.cols)
-        cells = [[[None] * other.cols for _ in range(self.rows)]
-                 for _ in range(self.degree + other.degree + 1)]
-        _compose_into(cells, [_sparse_rows(a.data) for a in self.coeffs],
-                      [[_sparse_rows(b.data) for b in other.coeffs]])
-        zero = self.tower.zero()
-        return OrePoly(self.tower, self.rows, other.cols,
-                       [Mat(_filled(grid, zero)) for grid in cells])
+        out = [[None] * other.cols for _ in range(self.rows)]
+        _compose_into(out, self.entries, [{0: row} for row in other.entries],
+                      self.tower.zero(), self.degree + other.degree + 1)
+        return OrePoly._of(self.tower, other.cols, out)
 
     def horner(self, a, x):
         """self * a(x) by Horner's rule, for a in F_q[T] and a square x.
 
-        Constants of F_q commute with tau, so each step is acc * x +
-        self * c, with acc in sparse rows and each twist of x formed once
+        Constants of F_q commute with tau, so from acc = self * c_n each
+        step adds acc * x to self * c, with each twist of x formed once
         per call (see _compose_into).
         """
-        tower, s, m = self.tower, self.rows, x.cols
+        tower, m = self.tower, x.cols
         if a.field != tower.fq:
             raise FieldMismatch("polynomial over a different F_q")
         self._check(x)
         if self.cols != x.rows or x.rows != m:
             raise ShapeMismatch("Horner needs self.cols == x.rows == x.cols")
-        own = [_sparse_rows(c.data) for c in self.coeffs]
-        twists = [[_sparse_rows(c.data) for c in x.coeffs]]
-        cells = []
-        for c in reversed(a.coeffs):
-            # the nonzero cells of the last step, ones as the shared one
-            acc = [[[(k, _shared_one(v)) for k, v in enumerate(row)
-                     if v is not None and not v.is_zero()] for row in grid]
-                   for grid in cells]
-            cells = [[[None] * m for _ in range(s)] for _ in
-                     range(max(len(acc) + x.degree if acc else 0, len(own)))]
-            _compose_into(cells, acc, twists)
-            if c:
-                e = tower.const(c)
-                term = own if e is tower.one() else [
-                    [[(k, v * e) for k, v in row] for row in rows]
-                    for rows in own]
-                for grid, rows in zip(cells, term):
-                    for out, row in zip(grid, rows):
-                        for k, v in row:
-                            out[k] = v if out[k] is None else out[k] + v
-        return OrePoly(tower, s, m, [Mat(_filled(grid, tower.zero()))
-                                     for grid in cells])
+        coeffs, twists = a.coeffs or (0,), [{0: row} for row in x.entries]
+        acc = self.scale(tower.const(coeffs[-1]))
+        for c in reversed(coeffs[:-1]):
+            n = max(self.degree, acc.degree + x.degree) + 1
+            own = (self.scale(tower.const(c)).entries if c
+                   else [[()] * m] * self.rows)
+            out = [[list(e) + [None] * (n - len(e)) if e else None
+                    for e in row] for row in own]
+            _compose_into(out, acc.entries, twists, tower.zero(), n)
+            acc = OrePoly._of(tower, m, out)
+        return acc
 
     def scale(self, e):
         """The product with a tower element e on the right: self when e
@@ -153,15 +166,14 @@ class OrePoly:
         one._check(e)
         if e == one:
             return self
-        return OrePoly(self.tower, self.rows, self.cols,
-                       tuple(c.scale(e) for c in self.coeffs))
+        return self._map(lambda v: v * e)
 
     def evaluate(self, vec):
         """Apply the twisted polynomial to a coordinate vector.
 
         The vector may live in a tower extending the coefficient tower;
-        nonzero coefficients are lifted before sum A_i vec^(q^i) is added
-        into one grid.
+        nonzero coefficients are lifted as they are read.  Evaluation is
+        its own loop, apart from composition and Horner's rule.
         """
         vec = tuple(vec)
         if len(vec) != self.cols:
@@ -174,24 +186,25 @@ class OrePoly:
                 raise FieldMismatch("point coordinates in different towers")
         if not vt.extends(self.tower):
             raise FieldMismatch("point tower does not extend the coefficient tower")
-        cells = [[None] for _ in range(self.rows)]
-        cur = vec
-        for i, a in enumerate(self.coeffs):
-            if i > 0:
-                cur = tuple(v.frob(1) for v in cur)
-            rows = _sparse_rows(a.data)
-            if vt != self.tower:
-                rows = [[(k, vt.embed(x)) for k, x in row] for row in rows]
-            _mul_into(cells, rows, _sparse_rows(zip(cur)))
-        return tuple(v for v, in _filled(cells, vt.zero()))
+        zero, vz, vo = self.tower.zero(), vt.zero(), vt.one()
+        lift = vt != self.tower
+        # the q**i-th powers of the point, its zeros and ones shared
+        pows = [tuple(vz if v.is_zero() else vo if v == vo else v
+                      for v in vec)]
+        for _ in range(self.degree):
+            pows.append(tuple(v.frob(1) for v in pows[-1]))
+        return tuple(sum(((vt.embed(a) if lift else a) * p[k]
+                          for k, e in enumerate(row) for a, p in zip(e, pows)
+                          if a is not zero and p[k] is not vz), vz)
+                     for row in self.entries)
 
     def __eq__(self, other):
         return (isinstance(other, OrePoly) and self.tower == other.tower
                 and self.rows == other.rows and self.cols == other.cols
-                and self.coeffs == other.coeffs)
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.coeffs))
+        return hash((self.rows, self.cols, self.entries))
 
     def to_exprs(self):
         """Coefficient matrices as expression strings, tau-degree order."""
@@ -203,35 +216,56 @@ class OrePoly:
         return f"OrePoly({self.rows}x{self.cols}, deg {self.degree})"
 
 
-def _compose_into(cells, acc, twists):
-    """Add acc * x into cells, one grid per tau-degree in which None is
-    zero.  acc holds sparse rows (see _sparse_rows) by tau-degree, and
-    twists[i][j][k] is row k of x_j raised to the q**i, None until read.
-    A twist costs one Frobenius per entry, so only the rows that acc_i
-    reads, those of its nonzero columns, are twisted, each once while
-    twists lives, from the highest twist of the row formed below i."""
-    for i, rows in enumerate(acc):
-        used = {k for row in rows for k, _ in row}
-        if not used:
-            continue
-        while len(twists) <= i:
-            twists.append([[None] * len(xj) for xj in twists[0]])
-        for j, b in enumerate(twists[i]):
-            for k in used:
-                if b[k] is None:
-                    low = i - 1
-                    while twists[low][j][k] is None:
-                        low -= 1
-                    b[k] = [(c, y.frob(i - low))
-                            for c, y in twists[low][j][k]]
-            _mul_into(cells[i + j], rows, b)
+def _entry(vals, zero, one):
+    """vals, in which None is 0, as a stored entry: each 0 and 1 the
+    shared zero and one, no trailing zero."""
+    out = [zero if v is None else v if v is zero or v is one else
+           zero if v.is_zero() else
+           one if v == one else v for v in vals]
+    while out and out[-1] is zero:
+        out.pop()
+    return tuple(out)
+
+
+def _plus(a, b, zero):
+    """Entry a plus entry b as a list, forming no sum with the zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [y if x is zero else x if y is zero else x + y
+            for x, y in zip(a, b)] + list(a[len(b):])
+
+
+def _compose_into(out, acc, twists, zero, n):
+    """Add acc * x into out, whose entries are None or n coefficients, None
+    for 0.  twists[k] maps i to row k of x raised to the q**i, from {0:
+    row k}.  A twist costs one Frobenius per nonzero coefficient, so row k
+    is twisted only to the levels at which acc reads column k, once while
+    twists lives, from the nearest level below."""
+    for i in range(max(map(len, chain(*acc)), default=0)):
+        for arow, orow in zip(acc, out):
+            for e, tw in zip(arow, twists):
+                if i >= len(e) or e[i] is zero:
+                    continue
+                a, row = e[i], tw.get(i)
+                if row is None:
+                    low = max(lv for lv in tw if lv < i)
+                    row = tw[i] = [tuple(y if y is zero else y.frob(i - low)
+                                         for y in b) for b in tw[low]]
+                for c, b in enumerate(row):
+                    if b and orow[c] is None:
+                        orow[c] = [None] * n
+                    o = orow[c]
+                    for j, y in enumerate(b, i):
+                        if y is not zero:
+                            y = a * y
+                            o[j] = y if o[j] is None else o[j] + y
 
 
 def scalar_text(op: OrePoly) -> str:
     """The nonzero tau-terms of a 1x1 twisted polynomial, lowest first."""
     parts = []
     for i, e in enumerate(op.scalar_elems()):
-        if e.is_zero():
+        if e is op.tower.zero():
             continue
         es = e.to_expr()
         if i == 0:
@@ -270,8 +304,8 @@ def right_divide(f: OrePoly, g: OrePoly) -> DivisionResult:
     rows = _bordered(f, s, False)
     for row in rows:
         _divide(row, range(s), shift, owners)
-    return DivisionResult(-_from_lists(f.tower, [r[s:] for r in rows], s),
-                          _from_lists(f.tower, [r[:s] for r in rows], s))
+    return DivisionResult(-OrePoly._of(f.tower, s, [r[s:] for r in rows]),
+                          OrePoly._of(f.tower, s, [r[:s] for r in rows]))
 
 
 def _witness_bound(p, bound, g=None):
@@ -299,12 +333,11 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     left kernel of p to its least degree, then re-verified by composition.
     """
     bound = _witness_bound(p, bound, g)
-    tower, s, m = p.tower, p.rows, p.cols
+    s, m = p.rows, p.cols
     # a tau-free column of p leads: its shifted degree deg p + 1 is above
     # every other column's, so a graph block supplies the leading terms
-    shift = [p.degree + 1 if all(not c.data[r][k] for c in p.coeffs[1:]
-                                 for r in range(s)) else 0
-             for k in range(m)] + [0] * s
+    shift = [p.degree + 1 if all(len(row[k]) < 2 for row in p.entries)
+             else 0 for k in range(m)] + [0] * s
     # each row is [x | y] with x = y*p for the rows of p, which start as
     # [p_r | e_r], and x - y*p = g_r for [g_r | 0]; left row operations
     # keep both, so a row of g divided to x = 0 leaves -y, a row of Q
@@ -318,7 +351,7 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
     least, _ = _weak_popov(kernel, back, shift)
     for row in rows:
         _divide(row, back, shift, least)
-    q = -_from_lists(tower, [row[m:] for row in rows], s)
+    q = -OrePoly._of(p.tower, s, [row[m:] for row in rows])
     if q.degree > bound:
         return None
     if q * p != g:
@@ -327,24 +360,9 @@ def left_multiple_witness(p: OrePoly, g: OrePoly, bound=None):
 
 
 def _bordered(op, s, eye):
-    """Each row of op as per-column coefficient lists, low degree first,
-    without trailing zeros, followed by s columns: e_r when eye is true,
-    else zero."""
-    one, out = op.tower.one(), []
-    for r in range(op.rows):
-        row = [[c.data[r][k] for c in op.coeffs] for k in range(op.cols)]
-        for e in row:
-            while e and not e[-1]:
-                e.pop()
-        out.append(row + [[one] if eye and k == r else [] for k in range(s)])
-    return out
-
-
-def _from_lists(tower, rows, cols):
-    """The OrePoly with cols columns whose rows are given as lists (see
-    _bordered); a coefficient past the end of a list is zero."""
-    zero = tower.zero()
-    return OrePoly(tower, len(rows), cols, [
-        Mat(tuple(tuple(e[i] if i < len(e) else zero for e in row)
-                  for row in rows))
-        for i in range(max((len(e) for row in rows for e in row), default=0))])
+    """Each row of op's entries as lists, the form _weak_popov works on,
+    followed by s columns: e_r when eye is true, else zero."""
+    one = op.tower.one()
+    return [[list(e) for e in row] + [[one] if eye and k == r else []
+                                      for k in range(s)]
+            for r, row in enumerate(op.entries)]

@@ -53,10 +53,11 @@ class OrePattern:
 
     @classmethod
     def of(cls, op: OrePoly) -> "OrePattern":
+        zero = op.tower.zero()
         return cls._at(op.rows, op.cols, (
-            (i, r, c) for i, m in enumerate(op.coeffs)
-            for r, row in enumerate(m.data)
-            for c, x in enumerate(row) if not x.is_zero()))
+            (i, r, c) for r, row in enumerate(op.entries)
+            for c, e in enumerate(row)
+            for i, x in enumerate(e) if x is not zero))
 
     @property
     def max_degree(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameter, FieldMismatch, ShapeMismatch
 from .fields import Poly
-from .linalg import Mat, kernel_basis
+from .linalg import kernel_basis
 from .ore import OrePoly, _witness_bound, left_multiple_witness
 from .tmodule import TModule
 
@@ -52,7 +52,7 @@ class ProvablyUnstable:
 
 
 def _col_is_zero(op: OrePoly, c: int) -> bool:
-    return all(m[r, c].is_zero() for m in op.coeffs for r in range(op.rows))
+    return all(not row[c] for row in op.entries)
 
 
 class KernelSubgroup:
@@ -79,20 +79,13 @@ class KernelSubgroup:
     @classmethod
     def from_entries(cls, module: TModule, entries) -> "KernelSubgroup":
         """Build from rows of per-column twist coefficient lists (low first)."""
-        tower = module.tower
-        rows = [[tuple(e) for e in row] for row in entries]
+        rows = [list(row) for row in entries]
         if not rows:
             return cls.full(module)
         m = module.dimension
-        for row in rows:
-            if len(row) != m:
-                raise ShapeMismatch("presentation row with wrong entry count")
-        deg = max((len(e) - 1 for row in rows for e in row), default=0)
-        z = tower.zero()
-        mats = [Mat(tuple(tuple(row[c][i] if i < len(row[c]) else z
-                               for c in range(m)) for row in rows))
-                for i in range(deg + 1)]
-        return cls(module, OrePoly(tower, len(rows), m, mats))
+        if any(len(row) != m for row in rows):
+            raise ShapeMismatch("presentation row with wrong entry count")
+        return cls(module, OrePoly._of(module.tower, m, rows))
 
     @property
     def is_full(self) -> bool:

@@ -172,22 +172,14 @@ def product(modules) -> TModule:
     for mod in modules:
         if mod.tower != tower:
             raise FieldMismatch("product factors over different towers")
-    deg = max(mod.degree for mod in modules)
-    total = sum(mod.dimension for mod in modules)
-    z = tower.zero()
-    mats = []
-    for i in range(deg + 1):
-        rows = []
-        off = 0
-        for mod in modules:
-            dim = mod.dimension
-            for entries in mod.phi_t.coeff(i).data:
-                row = [z] * total
-                row[off:off + dim] = entries
-                rows.append(row)
-            off += dim
-        mats.append(Mat(rows))
-    return TModule(tower, mats)
+    total, rows = sum(mod.dimension for mod in modules), []
+    for mod in modules:
+        left, right = len(rows), total - len(rows) - mod.dimension
+        rows += [[()] * left + list(row) + [()] * right
+                 for row in mod.phi_t.entries]
+    phi = OrePoly._of(tower, total, rows)
+    return TModule(tower, [phi.coeff(i) for i in
+                           range(max(mod.degree for mod in modules) + 1)])
 
 
 def diagonal_power(module: TModule, m: int) -> TModule:

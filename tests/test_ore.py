@@ -10,14 +10,20 @@ from tml.errors import (BadParameter, CertificateError, FieldMismatch,
                         NonInvertibleLeading, ShapeMismatch, TmlError,
                         ZeroDivisor)
 from tml.fields import FieldTower, FiniteField, Poly, RatFunc
-from tml.linalg import Mat, gauss_inverse, gauss_solve
-from tml.ore import OrePoly, left_multiple_witness, right_divide
+from tml.linalg import (Mat, _divide, _filled, _mul_into, _shared_one,
+                        _sparse_rows, _weak_popov, gauss_inverse, gauss_solve)
+from tml.ore import (DivisionResult, OrePoly, _witness_bound,
+                     left_multiple_witness, right_divide)
 from tml.subgroups import KernelSubgroup
-from tml.tmodule import carlitz, product
-from tml.torsion import sqrt_tower, square_family_points
+from tml import ore, torsion
+from tml.corpus import base_field_tower, graph_modules
+from tml.manifest import load_manifest
+from tml.tmodule import carlitz, carlitz_tensor, product
+from tml.torsion import (counterexample_module, curve_of_squares,
+                         sqrt_tower, square_family_points)
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def _rand_elem(rng, tower, degree=2):
@@ -549,3 +555,462 @@ def test_evaluation_matches_matvec_and_sum(p, e, sparse_mat, sparse_elem):
                 assert op.evaluate(vec) == _ref_evaluate(op, vec)
     with pytest.raises(FieldMismatch):
         OrePoly.identity(ext, 1).evaluate((base.one(),))
+
+
+# -- differential test against the tuple-of-Mat representation ---------------
+
+class _MatOre:
+    """The representation OrePoly had before per-entry storage, kept as
+    the reference: a tuple of dense coefficient matrices by tau-degree,
+    trailing zero matrices dropped, converted to sparse rows by every
+    product and to per-column lists by the division."""
+
+    def __init__(self, tower, rows, cols, coeffs):
+        coeffs = tuple(coeffs)
+        while coeffs and coeffs[-1].is_zero():
+            coeffs = coeffs[:-1]
+        for m in coeffs:
+            if m.rows != rows or m.cols != cols:
+                raise ShapeMismatch("coefficient matrix with wrong shape")
+        self.tower, self.rows, self.cols = tower, rows, cols
+        self.coeffs = coeffs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def _check(self, other):
+        if self.tower != other.tower:
+            raise FieldMismatch("twisted polynomials over different towers")
+
+    def __add__(self, other):
+        self._check(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeMismatch("adding twisted polynomials of different shapes")
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return _MatOre(self.tower, self.rows, self.cols,
+                       tuple([x + y for x, y in zip(a, b)]) + a[len(b):])
+
+    def __neg__(self):
+        return _MatOre(self.tower, self.rows, self.cols,
+                       tuple(-m for m in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        if self.cols != other.rows:
+            raise ShapeMismatch("composition shape mismatch")
+        if self.is_zero() or other.is_zero():
+            return _MatOre(self.tower, self.rows, other.cols, ())
+        cells = [[[None] * other.cols for _ in range(self.rows)]
+                 for _ in range(self.degree + other.degree + 1)]
+        _mat_compose_into(cells, [_sparse_rows(a.data) for a in self.coeffs],
+                          [[_sparse_rows(b.data) for b in other.coeffs]])
+        zero = self.tower.zero()
+        return _MatOre(self.tower, self.rows, other.cols,
+                       [Mat(_filled(grid, zero)) for grid in cells])
+
+    def horner(self, a, x):
+        tower, s, m = self.tower, self.rows, x.cols
+        if a.field != tower.fq:
+            raise FieldMismatch("polynomial over a different F_q")
+        self._check(x)
+        if self.cols != x.rows or x.rows != m:
+            raise ShapeMismatch("Horner needs self.cols == x.rows == x.cols")
+        own = [_sparse_rows(c.data) for c in self.coeffs]
+        twists = [[_sparse_rows(c.data) for c in x.coeffs]]
+        cells = []
+        for c in reversed(a.coeffs):
+            acc = [[[(k, _shared_one(v)) for k, v in enumerate(row)
+                     if v is not None and not v.is_zero()] for row in grid]
+                   for grid in cells]
+            cells = [[[None] * m for _ in range(s)] for _ in
+                     range(max(len(acc) + x.degree if acc else 0, len(own)))]
+            _mat_compose_into(cells, acc, twists)
+            if c:
+                e = tower.const(c)
+                term = own if e is tower.one() else [
+                    [[(k, v * e) for k, v in row] for row in rows]
+                    for rows in own]
+                for grid, rows in zip(cells, term):
+                    for out, row in zip(grid, rows):
+                        for k, v in row:
+                            out[k] = v if out[k] is None else out[k] + v
+        return _MatOre(tower, s, m, [Mat(_filled(grid, tower.zero()))
+                                     for grid in cells])
+
+    def scale(self, e):
+        one = self.tower.one()
+        one._check(e)
+        if e == one:
+            return self
+        return _MatOre(self.tower, self.rows, self.cols,
+                       tuple(c.scale(e) for c in self.coeffs))
+
+    def evaluate(self, vec):
+        vec = tuple(vec)
+        if len(vec) != self.cols:
+            raise ShapeMismatch("point has wrong number of coordinates")
+        if not vec:
+            return ()
+        vt = vec[0].tower
+        for v in vec:
+            if v.tower != vt:
+                raise FieldMismatch("point coordinates in different towers")
+        if not vt.extends(self.tower):
+            raise FieldMismatch("point tower does not extend the coefficient tower")
+        cells = [[None] for _ in range(self.rows)]
+        cur = vec
+        for i, a in enumerate(self.coeffs):
+            if i > 0:
+                cur = tuple(v.frob(1) for v in cur)
+            rows = _sparse_rows(a.data)
+            if vt != self.tower:
+                rows = [[(k, vt.embed(x)) for k, x in row] for row in rows]
+            _mul_into(cells, rows, _sparse_rows(zip(cur)))
+        return tuple(v for v, in _filled(cells, vt.zero()))
+
+    def __eq__(self, other):
+        return (isinstance(other, _MatOre) and self.tower == other.tower
+                and self.rows == other.rows and self.cols == other.cols
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.coeffs))
+
+
+def _mat_compose_into(cells, acc, twists):
+    """Add acc * x into per-degree grids; acc and x in sparse rows."""
+    for i, rows in enumerate(acc):
+        used = {k for row in rows for k, _ in row}
+        if not used:
+            continue
+        while len(twists) <= i:
+            twists.append([[None] * len(xj) for xj in twists[0]])
+        for j, b in enumerate(twists[i]):
+            for k in used:
+                if b[k] is None:
+                    low = i - 1
+                    while twists[low][j][k] is None:
+                        low -= 1
+                    b[k] = [(c, y.frob(i - low))
+                            for c, y in twists[low][j][k]]
+            _mul_into(cells[i + j], rows, b)
+
+
+def _mat_bordered(op, s, eye):
+    one, out = op.tower.one(), []
+    for r in range(op.rows):
+        row = [[c.data[r][k] for c in op.coeffs] for k in range(op.cols)]
+        for e in row:
+            while e and not e[-1]:
+                e.pop()
+        out.append(row + [[one] if eye and k == r else [] for k in range(s)])
+    return out
+
+
+def _mat_from_lists(tower, rows, cols):
+    zero = tower.zero()
+    return _MatOre(tower, len(rows), cols, [
+        Mat(tuple(tuple(e[i] if i < len(e) else zero for e in row)
+                  for row in rows))
+        for i in range(max((len(e) for row in rows for e in row), default=0))])
+
+
+def _mat_right_divide(f, g):
+    f._check(g)
+    if g.rows != g.cols:
+        raise ShapeMismatch("divisor must be square")
+    if f.cols != g.rows:
+        raise ShapeMismatch("dividend and divisor shapes incompatible")
+    if g.is_zero():
+        raise ZeroDivisionError("twisted division by zero")
+    s, shift = g.rows, [0] * g.rows
+    owners, _ = _weak_popov(_mat_bordered(g, s, True), range(s), shift)
+    if len(owners) < s or any(d <= g.degree for d, _ in owners.values()):
+        raise NonInvertibleLeading("divisor leading coefficient is singular")
+    rows = _mat_bordered(f, s, False)
+    for row in rows:
+        _divide(row, range(s), shift, owners)
+    return (-_mat_from_lists(f.tower, [r[s:] for r in rows], s),
+            _mat_from_lists(f.tower, [r[:s] for r in rows], s))
+
+
+def _mat_witness(p, g, bound=None):
+    bound = _witness_bound(p, bound, g)
+    s, m = p.rows, p.cols
+    shift = [p.degree + 1 if all(not c.data[r][k] for c in p.coeffs[1:]
+                                 for r in range(s)) else 0
+             for k in range(m)] + [0] * s
+    owners, kernel = _weak_popov(_mat_bordered(p, s, True), range(m), shift)
+    rows = _mat_bordered(g, s, False)
+    if any(_divide(row, range(m), shift, owners) for row in rows):
+        return None
+    back = range(m + s - 1, m - 1, -1)
+    least, _ = _weak_popov(kernel, back, shift)
+    for row in rows:
+        _divide(row, back, shift, least)
+    q = -_mat_from_lists(p.tower, [row[m:] for row in rows], s)
+    if q.degree > bound:
+        return None
+    if q * p != g:
+        raise CertificateError("witness failed independent re-expansion")
+    return q
+
+
+def _view(x):
+    """x in a form that compares across the two representations: a
+    twisted polynomial as its shape, degree and coefficient matrices."""
+    if isinstance(x, (OrePoly, _MatOre)):
+        return (x.rows, x.cols, x.degree, tuple(x.coeffs))
+    if isinstance(x, DivisionResult):
+        x = (x.quotient, x.remainder)
+    return tuple(map(_view, x)) if isinstance(x, tuple) else x
+
+
+def _assert_canonical(x):
+    """Every stored 0 and 1 of x is the tower's shared zero() or one(),
+    and no entry ends in a zero."""
+    if isinstance(x, DivisionResult):
+        x = (x.quotient, x.remainder)
+    if isinstance(x, tuple):
+        for v in x:
+            _assert_canonical(v)
+    if not isinstance(x, OrePoly):
+        return
+    zero, one = x.tower.zero(), x.tower.one()
+    assert len(x.entries) == x.rows
+    for row in x.entries:
+        assert isinstance(row, tuple) and len(row) == x.cols
+        for e in row:
+            assert isinstance(e, tuple) and (not e or e[-1] is not zero)
+            for v in e:
+                assert v is zero or not v.is_zero()
+                assert v is one or v != one
+    assert x.degree == max((len(e) for row in x.entries for e in row),
+                           default=0) - 1
+
+
+def _run(fn):
+    """fn(), or the class of the error it raises."""
+    try:
+        return fn()
+    except (TmlError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _agree(new, ref):
+    """new() in canonical form, with the value and error class of ref()."""
+    got = _run(new)
+    _assert_canonical(got)
+    assert _view(got) == _view(_run(ref))
+
+
+def _both(tower, rows, cols, mats):
+    return OrePoly(tower, rows, cols, mats), _MatOre(tower, rows, cols, mats)
+
+
+def _quotient_ring():
+    """F_3(T)[U]/(U^2 - T^2), in which U - T and U + T are zero
+    divisors with product 0."""
+    base = FieldTower(FiniteField(3))
+    t = base.T()
+    return base.extend("U", (base.zero() - t * t, base.zero(), base.one()))
+
+
+def _cases(tower, rng, sparse_mat, zero_divisors=()):
+    """(new, reference) pairs: zero, 0-row, units, a trailing zero
+    matrix, random sparse ones in four shapes, a sum that cancels, a
+    sum that cancels the top, and for two zero divisors with product 0,
+    each as a scalar, a 2x2 built from the first, and their product."""
+    o = tower.one()
+    ident, zeros = Mat.identity(tower, 2), Mat.zeros(tower, 2, 2)
+    specs = [(2, 2, ()), (0, 2, ()), (2, 2, (ident,)), (1, 1, (Mat(((o,),)),)),
+             (2, 2, (sparse_mat(rng, tower, 2, 2), ident, zeros))]
+    for rows, cols in ((2, 2), (2, 2), (1, 2), (2, 1), (1, 1)):
+        specs.append((rows, cols, [sparse_mat(rng, tower, rows, cols)
+                                   for _ in range(rng.randrange(1, 4))]))
+    for zd in zero_divisors:
+        specs.append((1, 1, (Mat(((zd,),)),)))
+    if zero_divisors:
+        zd = zero_divisors[0]
+        specs.append((2, 2, (Mat(((zd, o), (o, zd))), ident)))
+    cases = [_both(tower, *spec) for spec in specs]
+    f, rf = _both(tower, 2, 2, (sparse_mat(rng, tower, 2, 2),
+                                Mat(((o, tower.T()), (tower.zero(), o)))))
+    top = [zeros, Mat(((tower.zero() - o, tower.zero() - tower.T()),
+                       (tower.zero(), tower.zero() - o)))]
+    g, rg = _both(tower, 2, 2, top)
+    cases += [(f, rf), (f - f, rf - rf), (f + g, rf + rg)]
+    if zero_divisors:
+        (a, ra), (b, rb) = cases[10:12]
+        cases.append((a * b, ra * rb))
+    return cases
+
+
+def _assert_representations_agree(tower, rng, sparse_mat, sparse_elem,
+                                  zero_divisors=()):
+    """Every operation on the cases of _cases agrees with the reference
+    and leaves its result in canonical form."""
+    fq, o = tower.fq, tower.one()
+    cases = _cases(tower, rng, sparse_mat, zero_divisors)
+    for x, _ in cases:
+        _assert_canonical(x)
+    other = FieldTower(FiniteField(5))
+    polys = [Poly.zero(fq), Poly(fq, (1,)), Poly(fq, (fq.q - 1, 1)),
+             Poly(fq, [rng.randrange(fq.q) for _ in range(3)] + [1]),
+             Poly(other.fq, (1, 1))]
+    scalars = [tower.zero(), o, tower.unflatten(tower.flatten(o)),
+               tower.T() + o, other.one()]
+    ext = sqrt_tower(tower) if tower.parent is None else tower
+    squares = [c for c in cases if c[0].rows == c[0].cols]
+    for f, rf in cases:
+        _agree(lambda: -f, lambda: -rf)
+        _agree(lambda: f.coeffs, lambda: rf.coeffs)
+        for e in scalars:
+            _agree(lambda: f.scale(e), lambda: rf.scale(e))
+        for pt_tower in (tower, ext):
+            for n in (f.cols, f.cols + 1):
+                pt = [sparse_elem(rng, pt_tower) for _ in range(n)]
+                _agree(lambda: f.evaluate(pt), lambda: rf.evaluate(pt))
+        for a in polys:
+            for x, rx in squares[:5]:
+                _agree(lambda: f.horner(a, x), lambda: rf.horner(a, rx))
+        for g, rg in cases:
+            _agree(lambda: f + g, lambda: rf + rg)
+            _agree(lambda: f - g, lambda: rf - rg)
+            _agree(lambda: f * g, lambda: rf * rg)
+            assert (f == g) == (rf == rg)
+            if f == g:
+                assert hash(f) == hash(g)
+        for g, rg in squares:
+            _agree(lambda: right_divide(f, g),
+                   lambda: _mat_right_divide(rf, rg))
+    # witnesses for planted and absent targets over a few presentations
+    pres = [c for c in cases if c[0].degree <= 1 and not c[0].is_zero()]
+    for p, rp in pres:
+        q, rq = _both(tower, p.rows, p.rows,
+                      [sparse_mat(rng, tower, p.rows, p.rows)])
+        targets = [(q * p, rq * rp), (p, rp),
+                   _both(tower, p.rows, p.cols,
+                         [sparse_mat(rng, tower, p.rows, p.cols)])]
+        for g, rg in targets + cases[:2]:
+            for bound in (None, 0, 2):
+                _agree(lambda: left_multiple_witness(p, g, bound),
+                       lambda: _mat_witness(rp, rg, bound))
+
+
+def test_representations_agree(shallow_tower, sparse_mat, sparse_elem):
+    rng = random.Random(f"entries-{shallow_tower.depth}-{shallow_tower.fq.q}")
+    _assert_representations_agree(shallow_tower, rng, sparse_mat,
+                                  sparse_elem)
+
+
+def test_representations_agree_in_a_quotient_ring(sparse_mat, sparse_elem):
+    ring = _quotient_ring()
+    zd, zd2 = ring.gen() - ring.T(), ring.gen() + ring.T()
+    assert (zd * zd2).is_zero()
+    assert (OrePoly.scalar(ring, (zd,)) * OrePoly.scalar(ring, (zd2,))
+            ).is_zero()
+    _assert_representations_agree(ring, random.Random("entries-ring"),
+                                  sparse_mat, sparse_elem, (zd, zd2))
+
+
+def test_equal_polynomials_are_stored_alike(any_tower):
+    # a 1 and a 0 that are not the shared objects, a trailing zero
+    # matrix, per-column lists and arithmetic all give one stored form
+    t = any_tower
+    one, zero = t.unflatten(t.flatten(t.one())), t.T() - t.T()
+    assert one is not t.one() and zero is not t.zero()
+    x = t.T() + t.one()
+    built = OrePoly(t, 1, 2, (Mat(((one, zero),)), Mat(((zero, x),)),
+                              Mat(((zero, zero),))))
+    sub = KernelSubgroup.from_entries(carlitz_tensor(t, 2),
+                                      [[(one, zero, zero), (zero, x, zero)]])
+    tau = OrePoly.scalar(t, (t.zero(), t.one()))
+    pieces = (OrePoly(t, 1, 2, (Mat(((t.one(), t.zero()),)),))
+              + OrePoly(t, 1, 1, (Mat(((x,),)),)) * tau
+              * OrePoly(t, 1, 2, (Mat(((t.zero(), t.one()),)),)))
+    scaled = built.scale(x).scale(x.inverse())
+    forms = [built, sub.presentation, pieces, scaled,
+             built * OrePoly.identity(t, 2), (built - built) + built]
+    for f in forms:
+        _assert_canonical(f)
+        assert f == built and hash(f) == hash(built)
+        assert f.entries == ((((t.one(),), (t.zero(), x)),))
+    assert built.entries[0][0][0] is t.one()
+    assert built.entries[0][1][0] is t.zero()
+
+
+# -- evaluation stays a path of its own ------------------------------------
+
+def _corpus_points():
+    """(module, point, subgroups of the module) for the square-root
+    family's points over F_2 and F_3, the graph point over F_2 and the
+    bound points of the golden manifests."""
+    out = []
+    for p in (2, 3):
+        ext = sqrt_tower(FieldTower(FiniteField(p)))
+        module = counterexample_module(ext)
+        curve = curve_of_squares(module)
+        out += [(module, pt, [curve]) for pt in square_family_points(ext)]
+    tower = base_field_tower()
+    _, _, ambient, graph = graph_modules(tower)
+    t = tower.T()
+    out.append((ambient, (t, t + t * t), [graph]))
+    folder = os.path.join(ROOT, "tests", "golden", "manifests")
+    for name in sorted(os.listdir(folder)):
+        man = load_manifest(os.path.join(folder, name))
+        for pt_name, coords in man.points.items():
+            module = man.modules.get(man.point_modules.get(pt_name))
+            if module is not None:
+                out.append((module, coords, [
+                    sub for sub in man.subgroups.values()
+                    if sub.module is module]))
+    return out
+
+
+def _ref_act_on_point(module, a, point):
+    """sum of c_j phi_T^j(point), phi_T applied by the reference."""
+    phi = _MatOre(module.tower, module.dimension, module.dimension,
+                  module.matrices)
+    vt = point[0].tower
+    acc, cur = tuple(vt.zero() for _ in point), tuple(point)
+    for j, c in enumerate(a.coeffs):
+        if j > 0:
+            cur = phi.evaluate(cur)
+        if c:
+            acc = tuple(x + y * vt.const(c) for x, y in zip(acc, cur))
+    return acc
+
+
+def test_evaluation_needs_no_composition_or_horner(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluation reached composition or Horner")
+
+    monkeypatch.setattr(ore, "_compose_into", refuse)
+    monkeypatch.setattr(OrePoly, "__mul__", refuse)
+    monkeypatch.setattr(OrePoly, "horner", refuse)
+    points = _corpus_points()
+    assert len(points) >= 10
+    for module, pt, subs in points:
+        m = module.dimension
+        phi = _MatOre(module.tower, m, m, module.matrices)
+        assert module.phi_t.evaluate(pt) == phi.evaluate(pt)
+        fq = module.tower.fq
+        for a in (Poly.zero(fq), Poly(fq, (0, 1)), Poly(fq, (1, 0, 1)),
+                  Poly(fq, (0, 1, 0, 1))):
+            assert (torsion.act_on_point(module, a, pt)
+                    == _ref_act_on_point(module, a, pt))
+        for sub in subs:
+            p = sub.presentation
+            ref = _MatOre(p.tower, p.rows, p.cols, p.coeffs)
+            assert sub.contains(pt) == all(v.is_zero()
+                                           for v in ref.evaluate(pt))
