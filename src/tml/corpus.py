@@ -143,8 +143,8 @@ def squared_variable_module(tower: FieldTower):
     action = c2.act(Poly(fq, (0, 0, 1)))
     ext = sqrt_tower(tower)
     u = ext.gen()
-    return ext, TModule(ext, [c.map(lambda x: ratfunc_substitute(x.data, u))
-                              for c in action.coeffs])
+    return ext, TModule._of(ext, [[[ratfunc_substitute(x.data, u) for x in e]
+                                   for e in row] for row in action.entries])
 
 
 # -- checks -----------------------------------------------------------------
@@ -298,8 +298,7 @@ def check_generator_counts():
     # and the restricted action is the rank-one T + tau
     _require(not psi.phi_t.entries[0][1],
              "axis is not invariant under the re-read action")
-    restricted = TModule(ext, OrePoly.scalar(ext, psi.phi_t.entries[1][1])
-                         .coeffs)
+    restricted = TModule._of(ext, [[psi.phi_t.entries[1][1]]])
     _require(restricted.phi_t == carlitz(ext).phi_t,
              "axis restriction is not the rank-one T + tau action")
     axis_count = rank_report(restricted)

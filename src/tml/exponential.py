@@ -59,12 +59,13 @@ def exp_series(module: TModule, order: int) -> ExpSeries:
                            f"got {order}")
     tower = module.tower
     m = module.dimension
-    a0 = module.a0
+    phi = module.matrices
+    a0 = phi[0]
     coeffs = [Mat.identity(tower, m)]
     for i in range(1, order + 1):
         rhs = Mat.zeros(tower, m, m)
-        for j in range(1, min(i, module.degree) + 1):
-            aj = module.matrices[j]
+        for j in range(1, min(i, len(phi) - 1) + 1):
+            aj = phi[j]
             if not aj.is_zero():
                 rhs = rhs + (aj @ coeffs[i - j].frob(j))
         ai = a0.frob(i)
@@ -213,7 +214,7 @@ def verify_functional_equation(exp: ExpSeries) -> bool:
     for i in range(1, exp.order + 1):
         a0i = _twisted(phi[0], i, q)
         rhs = [(phi[j], _twisted(coeffs[i - j], j, q))
-               for j in range(min(i, module.degree) + 1)]
+               for j in range(min(i, len(phi) - 1) + 1)]
         for r in range(m):
             for c in range(m):
                 x, a = reduce(_add, _terms(coeffs[i], a0i, r, c), zero)

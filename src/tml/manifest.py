@@ -25,7 +25,6 @@ import re
 
 from .errors import InputError, ParseError, ZeroDivisor
 from .fields import FiniteField, FieldTower, Poly
-from .linalg import Mat
 from .subgroups import KernelSubgroup
 from .tmodule import TModule
 
@@ -525,14 +524,14 @@ def build_manifest(sections) -> Manifest:
             if len(entries) != m * m:
                 raise ParseError(f"{key} needs {m * m} entries, got "
                                  f"{len(entries)}", *val[1:])
-            mats[idx] = Mat(entries[r:r + m] for r in range(0, m * m, m))
+            mats[idx] = entries
         if 0 not in mats:
             raise ParseError(f"[module {name}] is missing a0", line, 1)
-        top = max(mats)
-        # a zero matrix only where an index is skipped
-        zero = Mat.zeros(tower, m, m) if len(mats) <= top else None
-        modules[name] = TModule(tower, [mats.get(i, zero)
-                                        for i in range(top + 1)])
+        # phi_T's entry (r, c) lists a_i[r, c] by i, None (0) for a skipped i
+        got = [mats.get(i) for i in range(max(mats) + 1)]
+        modules[name] = TModule._of(tower, [
+            [[a and a[r * m + c] for a in got] for c in range(m)]
+            for r in range(m)])
 
     subgroups = {}
     for name, body, line in _named(sections, "subgroup", {"module", "row"}):

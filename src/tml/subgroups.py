@@ -68,7 +68,7 @@ class KernelSubgroup:
         if presentation.cols != module.dimension:
             raise ShapeMismatch("presentation column count must match the dimension")
         if presentation.rows > 0 and presentation.is_zero():
-            raise ValueError("zero presentation; use zero rows for the full module")
+            raise BadParameter("zero presentation; use zero rows for the full module")
         self.module = module
         self.presentation = presentation
 
@@ -101,11 +101,12 @@ class KernelSubgroup:
         if self.is_full:
             return None
         dp = self.presentation.coeff(0)
-        basis = kernel_basis(self.module.tower, dp)
-        if not basis or dp.is_zero():  # a zero dp moves no vector out
+        # a zero dp moves no vector out; its kernel is never formed
+        basis = () if dp.is_zero() else kernel_basis(self.module.tower, dp)
+        if not basis:
             return None
         # the s x m block dp * a(a_0); the m x m differential is not formed
-        block = self.module.differential(a, dp)
+        block = self.module.differential(a, self.presentation)
         for v in basis:
             if not all(x.is_zero() for x in block.matvec(v)):
                 return v

@@ -1,8 +1,8 @@
 """Module structures on powers of the additive group over a tower field.
 
-A module definition is the list of coefficient matrices a_0..a_d of the
-twisted polynomial giving the action of T; the constant term must be
-T*I + N with N nilpotent.  The action of any base polynomial follows by
+A module is stored as phi_T = a_0 + a_1 tau + ... + a_d tau^d, the
+twisted polynomial giving the action of T; a_0 must be T*I + N with N
+nilpotent.  The action of any base polynomial follows by
 Horner composition in the twisted-polynomial ring.
 """
 
@@ -27,38 +27,43 @@ class ValidityReport:
 
 
 class TModule:
-    """A T-module given by the matrix coefficients of its T-action."""
+    """A T-module, stored as phi_t: the twisted polynomial of T's action."""
 
     def __init__(self, tower, matrices):
+        """The module with T-action sum a_i tau^i for matrices a_0..a_d."""
         matrices = tuple(matrices)
-        if not matrices:
-            raise ValueError("need at least the constant coefficient matrix")
-        m = matrices[0].rows
-        for a in matrices:
-            if a.rows != m or a.cols != m:
-                raise ShapeMismatch("coefficient matrices must be square, same size")
-        while len(matrices) > 1 and matrices[-1].is_zero():
-            matrices = matrices[:-1]
-        self.tower = tower
-        self.matrices = matrices
-        self.dimension = m
-        self.phi_t = OrePoly(tower, m, m, matrices)
+        m = matrices[0].rows if matrices else 0
+        self._store(OrePoly(tower, m, m, matrices))
+
+    @classmethod
+    def _of(cls, tower, rows):
+        """The module whose phi_T has rows as in OrePoly._of."""
+        return cls.__new__(cls)._store(OrePoly._of(tower, len(rows), rows))
+
+    def _store(self, phi):
+        if not phi.rows:
+            raise BadParameter("need at least the constant coefficient matrix")
+        if any(len(row) != phi.rows for row in phi.entries):
+            raise ShapeMismatch("coefficient matrices must be square, same size")
+        self.tower, self.dimension, self.phi_t = phi.tower, phi.rows, phi
+        return self
 
     @property
     def degree(self) -> int:
-        return len(self.matrices) - 1
+        return max(self.phi_t.degree, 0)
+
+    @property
+    def matrices(self):
+        """The coefficient matrices a_0..a_d, read off phi_t."""
+        return tuple(map(self.phi_t.coeff, range(self.degree + 1)))
 
     @property
     def a0(self) -> Mat:
-        return self.matrices[0]
-
-    def nilpotent_part(self) -> Mat:
-        t_ident = Mat.scalar(self.tower, self.dimension, self.tower.T())
-        return self.a0 - t_ident
+        return self.phi_t.coeff(0)
 
     def nilpotency_order(self):
         """Least n with N**n = 0 for N = a_0 - T*I, or None if there is none."""
-        n = self.nilpotent_part()
+        n = self.a0 - Mat.scalar(self.tower, self.dimension, self.tower.T())
         power = Mat.identity(self.tower, self.dimension)
         for i in range(self.dimension + 1):
             if power.is_zero():
@@ -78,7 +83,7 @@ class TModule:
         order = self.nilpotency_order()
         if order is None:
             problems.append("not-nilpotent")
-        if self.matrices[-1].is_zero():
+        if self.phi_t.is_zero():
             problems.append("zero-leading")
         return ValidityReport(valid=not problems, dimension=self.dimension,
                               degree=self.degree, nilpotency_order=order,
@@ -94,19 +99,15 @@ class TModule:
         return OrePoly.identity(self.tower, self.dimension).horner(
             a, self.phi_t)
 
-    def differential(self, a: Poly, left: Mat | None = None) -> Mat:
+    def differential(self, a: Poly, left: OrePoly | None = None) -> Mat:
         """The tangent action: the base polynomial evaluated at a_0.
 
-        With a k x m matrix left over the module's tower, returns left *
-        a(a_0) by Horner's rule on left's rows, without forming a(a_0).
+        With a k x m twisted polynomial left, returns dp * a(a_0) for its
+        constant term dp by Horner's rule on dp's rows, not forming a(a_0).
         """
-        tower, m = self.tower, self.dimension
-        if left is None:
-            left = Mat.identity(tower, m)
-        elif left.rows and left.cols:
-            tower.one()._check(left[0, 0])
-        return OrePoly(tower, left.rows, left.cols, (left,)).horner(
-            a, OrePoly(tower, m, m, (self.a0,))).coeff(0)
+        left = (OrePoly.identity(self.tower, self.dimension) if left is None
+                else _constant(left))
+        return left.horner(a, _constant(self.phi_t)).coeff(0)
 
     def j_bound(self) -> int:
         """Smallest power of p at or above the nilpotency order.
@@ -114,24 +115,19 @@ class TModule:
         For j = p**r >= n the differential of the T**j action collapses to
         the scalar matrix T**j * I; this is re-verified before returning.
         """
-        order = self.require_nilpotent()
-        p = self.tower.fq.p
-        j = 1
+        order, j = self.require_nilpotent(), 1
         while j < order:
-            j *= p
-        fq = self.tower.fq
-        tj = Poly(fq, (0,) * j + (1,))
+            j *= self.tower.fq.p
         expected = Mat.scalar(self.tower, self.dimension, self.tower.T() ** j)
-        if self.differential(tj) != expected:
+        if self.differential(Poly(self.tower.fq, (0,) * j + (1,))) != expected:
             raise CertificateError("scalar differential verification failed")
         return j
 
     def __eq__(self, other):
-        return (isinstance(other, TModule) and self.tower == other.tower
-                and self.matrices == other.matrices)
+        return isinstance(other, TModule) and self.phi_t == other.phi_t
 
     def __hash__(self):
-        return hash((self.tower, self.matrices))
+        return hash(self.phi_t)
 
     def __repr__(self):
         return f"TModule(dim {self.dimension}, deg {self.degree}, q={self.tower.fq.q})"
@@ -146,8 +142,8 @@ def drinfeld(tower, elems) -> TModule:
     """A one-dimensional module T + c_1 tau + ... + c_d tau^d."""
     elems = tuple(elems)
     if not elems:
-        raise ValueError("need at least one twist coefficient")
-    return TModule(tower, OrePoly.scalar(tower, (tower.T(),) + elems).coeffs)
+        raise BadParameter("need at least one twist coefficient")
+    return TModule._of(tower, [[(tower.T(),) + elems]])
 
 
 def carlitz_tensor(tower, n: int) -> TModule:
@@ -156,30 +152,31 @@ def carlitz_tensor(tower, n: int) -> TModule:
     if n < 1:
         raise BadParameter(f"tensor power must be at least 1, got {n}")
     z, o, t = tower.zero(), tower.one(), tower.T()
-    a0 = Mat(tuple(tuple(t if i == j else (o if j == i + 1 else z)
-                         for j in range(n)) for i in range(n)))
-    a1 = Mat(tuple(tuple(o if (i == n - 1 and j == 0) else z
-                         for j in range(n)) for i in range(n)))
-    return TModule(tower, (a0, a1))
+    return TModule._of(tower, [[(t if i == j else o if j == i + 1 else z,
+                                 o if i == n - 1 and j == 0 else z)
+                                for j in range(n)] for i in range(n)])
 
 
 def product(modules) -> TModule:
     """Block-diagonal product; all factors over the same tower."""
     modules = tuple(modules)
     if not modules:
-        raise ValueError("empty product")
+        raise BadParameter("empty product")
     tower = modules[0].tower
-    for mod in modules:
-        if mod.tower != tower:
-            raise FieldMismatch("product factors over different towers")
+    if any(mod.tower != tower for mod in modules):
+        raise FieldMismatch("product factors over different towers")
     total, rows = sum(mod.dimension for mod in modules), []
     for mod in modules:
         left, right = len(rows), total - len(rows) - mod.dimension
         rows += [[()] * left + list(row) + [()] * right
                  for row in mod.phi_t.entries]
-    phi = OrePoly._of(tower, total, rows)
-    return TModule(tower, [phi.coeff(i) for i in
-                           range(max(mod.degree for mod in modules) + 1)])
+    return TModule._of(tower, rows)
+
+
+def _constant(op: OrePoly) -> OrePoly:
+    """The tau-degree-0 part of op, read off its entries."""
+    return OrePoly._of(op.tower, op.cols,
+                       [[e[:1] for e in row] for row in op.entries])
 
 
 def diagonal_power(module: TModule, m: int) -> TModule:

@@ -159,19 +159,23 @@ def test_kernel_matches_the_reference_paths(name, sparse_mat):
     for module in _modules(rng, tower, sparse_mat):
         m = module.dimension
         left = sparse_mat(rng, tower, 2, m, zero_row=1)
+        # the differential reads only the constant term of its left factor
+        left_op = OrePoly(tower, 2, m, [left, left])
         for a in polys:
             assert (_outcome(module.act, a)
                     == _outcome(_ref_act, module, a))
-            for lf in (None, left):
-                assert (_outcome(module.differential, a, lf)
-                        == _outcome(_ref_differential, module, a, lf))
+            assert (_outcome(module.differential, a)
+                    == _outcome(_ref_differential, module, a))
+            assert (_outcome(module.differential, a, left_op)
+                    == _outcome(_ref_differential, module, a, left))
             for p in _presentations(rng, tower, m, sparse_mat):
                 sub = KernelSubgroup(module, p)
                 assert (_outcome(sub._pullback, a)
                         == _outcome(_ref_pullback, sub, a))
         # a left factor of the wrong width
         bad = sparse_mat(rng, tower, 1, m + 1)
-        assert _outcome(module.differential, polys[-2], bad) is ShapeMismatch
+        assert (_outcome(module.differential, polys[-2],
+                         OrePoly(tower, 1, m + 1, [bad])) is ShapeMismatch)
         assert (_outcome(_ref_differential, module, polys[-2], bad)
                 is ShapeMismatch)
     if tower.parent is not None:
@@ -196,15 +200,17 @@ def test_kernel_refuses_operands_from_elsewhere(tower2, tower3):
     # a left factor from another tower, whatever the polynomial; the
     # reference refused it only when a product was formed
     left = Mat(((tower3.T(), tower3.one()),))
+    left_op = OrePoly(tower3, 1, 2, [left])
+    own = Mat(((tower2.T(),) * 2,))
     for b in (Poly(tower2.fq, (1, 1)), Poly(tower2.fq, (1,))):
-        assert _ref_differential(mod2, b, Mat(((tower2.T(),) * 2,))) \
-            == mod2.differential(b, Mat(((tower2.T(),) * 2,)))
+        assert _ref_differential(mod2, b, own) \
+            == mod2.differential(b, OrePoly(tower2, 1, 2, [own]))
         assert _outcome(_ref_differential, mod2, b, left) is FieldMismatch
-        assert _outcome(mod2.differential, b, left) is FieldMismatch
+        assert _outcome(mod2.differential, b, left_op) is FieldMismatch
     zero = Poly.zero(tower2.fq)
     assert _ref_differential(mod2, zero, left) == Mat.zeros(tower2, 1, 2)
-    assert _outcome(mod2.differential, zero, left) is FieldMismatch
-    assert mod3.differential(Poly.zero(tower3.fq), left) == \
+    assert _outcome(mod2.differential, zero, left_op) is FieldMismatch
+    assert mod3.differential(Poly.zero(tower3.fq), left_op) == \
         Mat.zeros(tower3, 1, 2)
 
 
@@ -225,7 +231,7 @@ def test_callers_form_no_composition_or_matrix_product(monkeypatch):
     calls = [lambda a: module.act(a), lambda a: sub._pullback(a),
              lambda a: root_action(ext, a),
              lambda a: module.differential(a),
-             lambda a: module.differential(a, dp)]
+             lambda a: module.differential(a, sub.presentation)]
     want = [_ref_act(module, a) for a in polys] + \
         [_ref_pullback(sub, a) for a in polys] + \
         [_ref_root_action(ext, a) for a in polys] + \

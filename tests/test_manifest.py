@@ -44,6 +44,7 @@ def test_printer_is_fixed_point_on_both_examples():
         text = manifest_to_text(manifest)
         again = parse_manifest(text)
         assert manifest_to_text(again) == text
+        assert again.modules == manifest.modules
 
 
 def test_printer_round_trip_preserves_content():
