@@ -3,17 +3,21 @@
 A module is stored as phi_T = a_0 + a_1 tau + ... + a_d tau^d, the
 twisted polynomial giving the action of T; a_0 must be T*I + N with N
 nilpotent.  The action of any base polynomial follows by
-Horner composition in the twisted-polynomial ring.
+Horner composition in the twisted-polynomial ring.  Its tangent action
+a(a_0) follows by Taylor's formula at T instead: T*I is central, so
+a(T*I + N) is the sum of D^k a * N^k over the Hasse derivatives D^k a,
+a finite sum once N is nilpotent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import (BadParameter, CertificateError, FieldMismatch,
                      NotNilpotent, ShapeMismatch)
-from .fields import Poly, _power
-from .linalg import Mat
+from .fields import Poly, RatFunc, _power
+from .linalg import Mat, _filled, _mul_into, _shared_one, _sparse_rows
 from .ore import OrePoly
 
 
@@ -63,13 +67,34 @@ class TModule:
 
     def nilpotency_order(self):
         """Least n with N**n = 0 for N = a_0 - T*I, or None if there is none."""
-        n = self.a0 - Mat.scalar(self.tower, self.dimension, self.tower.T())
-        power = Mat.identity(self.tower, self.dimension)
+        n, power = self._nilpotent_part(), self._identity_rows()
         for i in range(self.dimension + 1):
-            if power.is_zero():
+            if not any(power):
                 return i
-            power = power @ n
+            power = _times(power, n, self.tower.zero())
         return None
+
+    def _nilpotent_part(self):
+        """N = a_0 - T*I as sparse rows (see linalg._sparse_rows).  The
+        entries of phi_t hold the shared zero and one, so only the
+        diagonal is compared, and an entry equal to T cancels by that
+        test, with no subtraction."""
+        zero, t = self.tower.zero(), self.tower.T()
+        rows = []
+        for r, row in enumerate(self.phi_t.entries):
+            cells = []
+            for c, e in enumerate(row):
+                v = e[0] if e else zero
+                if c == r:
+                    v = zero if v == t else _shared_one(v - t)
+                if v is not zero:
+                    cells.append((c, v))
+            rows.append(cells)
+        return rows
+
+    def _identity_rows(self):
+        one = self.tower.one()
+        return [[(r, one)] for r in range(self.dimension)]
 
     def require_nilpotent(self) -> int:
         """The nilpotency order; raises NotNilpotent when there is none."""
@@ -103,23 +128,62 @@ class TModule:
         """The tangent action: the base polynomial evaluated at a_0.
 
         With a k x m twisted polynomial left, returns dp * a(a_0) for its
-        constant term dp by Horner's rule on dp's rows, not forming a(a_0).
+        constant term dp, not forming a(a_0): by Taylor's formula at T it
+        is the sum of D^k a * (dp * N^k), which ends at the first zero
+        dp * N^k.  A product with N is formed only while a nonzero entry
+        meets a nonzero row of N, and only up to k = deg a.  When dp * N^m
+        is not zero, N is not nilpotent and Horner's rule at a_0 gives the
+        block instead.
         """
-        left = (OrePoly.identity(self.tower, self.dimension) if left is None
-                else _constant(left))
+        tower, m = self.tower, self.dimension
+        if a.field != tower.fq:
+            raise FieldMismatch("polynomial over a different F_q")
+        zero = tower.zero()
+        if left is None:
+            powers = [self._identity_rows()]
+        else:
+            self.phi_t._check(left)
+            if left.cols != m:
+                raise ShapeMismatch("left factor column count must match")
+            powers = [[[(c, e[0]) for c, e in enumerate(row)
+                        if e and e[0] is not zero] for row in left.entries]]
+        n = self._nilpotent_part()
+        while len(powers) <= a.degree and any(
+                n[c] for row in powers[-1] for c, _ in row):
+            power = _times(powers[-1], n, zero)
+            if not any(power):
+                break
+            if len(powers) == m:
+                return self._horner_at_a0(a, (
+                    OrePoly.identity(tower, m) if left is None
+                    else _constant(left)))
+            powers.append(power)
+        derivs = (_in_tower(tower, _hasse(a, k)) for k in range(len(powers)))
+        terms = [(k, d) for k, d in enumerate(derivs) if d is not zero]
+        cells = [[None] * m for _ in powers[0]]
+        for r, out in enumerate(cells):
+            _mul_into([out], [terms], [power[r] for power in powers])
+        return Mat(_filled(cells, zero))
+
+    def _horner_at_a0(self, a: Poly, left: OrePoly) -> Mat:
+        """left * a(a_0) by Horner's rule, for left of tau-degree 0."""
         return left.horner(a, _constant(self.phi_t)).coeff(0)
 
     def j_bound(self) -> int:
         """Smallest power of p at or above the nilpotency order.
 
         For j = p**r >= n the differential of the T**j action collapses to
-        the scalar matrix T**j * I; this is re-verified before returning.
+        the scalar matrix T**j * I; this is re-verified before returning,
+        by Horner's rule at a_0 and not by Taylor's formula, under which
+        every binomial binom(j, k), 0 < k < j, vanishes mod p.
         """
         order, j = self.require_nilpotent(), 1
         while j < order:
             j *= self.tower.fq.p
-        expected = Mat.scalar(self.tower, self.dimension, self.tower.T() ** j)
-        if self.differential(Poly(self.tower.fq, (0,) * j + (1,))) != expected:
+        m = self.dimension
+        expected = Mat.scalar(self.tower, m, self.tower.T() ** j)
+        if self._horner_at_a0(Poly(self.tower.fq, (0,) * j + (1,)),
+                              OrePoly.identity(self.tower, m)) != expected:
             raise CertificateError("scalar differential verification failed")
         return j
 
@@ -171,6 +235,30 @@ def product(modules) -> TModule:
         rows += [[()] * left + list(row) + [()] * right
                  for row in mod.phi_t.entries]
     return TModule._of(tower, rows)
+
+
+def _times(rows, n, zero):
+    """Sparse rows times the sparse rows of N; a sum that cancels is
+    dropped and one equal to 1 is the shared one."""
+    cells = [[None] * len(n) for _ in rows]
+    _mul_into(cells, rows, n)
+    return _sparse_rows(_filled(cells, zero))
+
+
+def _hasse(a: Poly, k: int) -> Poly:
+    """The k-th Hasse derivative of a: binom(i, k) * c_i at T**(i - k)."""
+    if not k:
+        return a
+    f = a.field
+    return Poly(f, [f.mul_table[comb(i, k) % f.p][c]
+                    for i, c in enumerate(a.coeffs[k:], k)])
+
+
+def _in_tower(tower, b: Poly):
+    """b in F_q[T] as a tower element; 0 and 1 the shared zero and one."""
+    if b.degree < 1:
+        return tower.const(b.lc() if b else 0)
+    return tower.from_ratfunc(RatFunc.from_poly(b))
 
 
 def _constant(op: OrePoly) -> OrePoly:

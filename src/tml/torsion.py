@@ -182,9 +182,7 @@ def torsion_order_search(module: TModule, point, max_degree: int):
                                    "composed re-check")
         tried = (sum(q ** k for k in range(d))
                  + sum(c * q ** i for i, c in enumerate(low)) + 1)
-        transcript = tuple(tuple(x.to_expr() for x in it)
-                           for it in iterates)
-        return TorsionCertificate(point, order, transcript, tried)
+        return TorsionCertificate(point, order, tuple(iterates), tried)
     return TorsionRefuted(point, max_degree,
                           sum(q ** k for k in range(max_degree + 1)))
 

@@ -1,6 +1,6 @@
 """Seeded cross-checks between the evaluation paths that remain: the
 Horner kernel OrePoly.horner at phi_T (actions, root actions) against
-the same kernel at a_0 (TModule.differential) and the ring structure,
+the Taylor sum at a_0 (TModule.differential) and the ring structure,
 and the Horner rule of Poly.at (substitution) against plain sums of
 powers."""
 

@@ -1,9 +1,12 @@
 """One sparse Horner kernel, OrePoly.horner, serves TModule.act,
-KernelSubgroup._pullback, torsion.root_action and TModule.differential.
-These tests compare it with reference copies of the Horner rule driven by
-twisted composition and of the differential's matrix loop, and check that
-no intermediate composition or matrix product is formed and that each
-twist of a row of x is formed once per call."""
+KernelSubgroup._pullback, torsion.root_action, and at a_0 the re-check
+of TModule.j_bound and the differential of a module whose N is not
+nilpotent.  These tests compare the kernel and TModule.differential
+(which sums Taylor's formula on a T-module, see test_tangent_taylor)
+with reference copies of the Horner rule driven by twisted composition
+and of the differential's matrix loop, and check that no intermediate
+composition or matrix product is formed and that each twist of a row of
+x is formed once per call."""
 
 import random
 from collections import Counter

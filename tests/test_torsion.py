@@ -288,7 +288,10 @@ def test_search_matches_reference_enumeration():
         else:
             assert isinstance(out, TorsionCertificate)
             assert out.order == order
-            assert out.iterates == tail
+            # the iterates themselves are kept, P first
+            assert out.iterates[0] == tuple(pt)
+            assert tuple(tuple(x.to_expr() for x in it)
+                         for it in out.iterates) == tail
             seen.add(order.degree)
     # zero points, degree one and two orders, and refutations all occur
     assert seen >= {0, 1, 2, "refuted"}
